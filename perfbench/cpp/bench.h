@@ -1,4 +1,4 @@
-// Shared declarations of the serving benchmark driver: the workload table,
+// Shared declarations of the serving benchmark program: the workload table,
 // the seeded request set with its precomputed answers, failure accounting,
 // and the pieces main.cpp composes (daemon control, load generation, the
 // traced in-process replay). See perfbench/README.md for what each workload
@@ -110,7 +110,10 @@ struct Tally {
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t broken = 0;
+  /// Latencies of the correct answers, and when each request started (s
+  /// from the start of its traffic), in the same order.
   std::vector<double> latencies_us;
+  std::vector<double> started_s;
 
   std::uint64_t failed() const {
     return error_responses + shed + deadline_exceeded + timeouts + broken;
@@ -118,9 +121,15 @@ struct Tally {
   /// Classifies one response against its expected answer; a correct answer
   /// also records its latency.
   void Record(const serve::Response& response,
-              const std::vector<std::int64_t>& expected, double latency_us);
+              const std::vector<std::int64_t>& expected, double latency_us,
+              double started_s = 0.0);
   void Merge(const Tally& other);
 };
+
+/// Quantile q of the latencies, taken in consecutive slices of at least
+/// `slice` requests by start time, then the median over slices: one slice
+/// hit by a host stall moves it less than it moves the whole-run quantile.
+double SlicedQuantile(const Tally& tally, double q, std::size_t slice);
 
 /// Nearest-rank percentile (q in [0, 1]) of an unsorted sample; 0 if empty.
 double Percentile(std::vector<double> values, double q);

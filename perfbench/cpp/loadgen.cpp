@@ -107,7 +107,8 @@ LoadResult RunClosedLoop(std::uint16_t port, const Workload& workload,
             }
             continue;
           }
-          tally.Record(response, requests.Expected(k), Micros(t1 - t0));
+          tally.Record(response, requests.Expected(k), Micros(t1 - t0),
+                       Seconds(t0 - window_start));
           last_done[static_cast<std::size_t>(c)] = t1;
         } catch (const std::exception&) {
           if (counted) ++tally.broken;
@@ -310,7 +311,7 @@ LoadResult RunOpenLoop(std::uint16_t port, const Workload& workload,
     }
     const std::size_t before = result.tally.latencies_us.size();
     result.tally.Record(responses[i], requests.Expected(i),
-                        Micros(done[i] - due(i)));
+                        Micros(done[i] - due(i)), due_s[i]);
     if (result.tally.latencies_us.size() > before) {
       result.from_send_us.push_back(Micros(done[i] - sent[i]));
     }

@@ -185,7 +185,7 @@ void RequestSet::CorruptOneExpectation() {
 
 void Tally::Record(const serve::Response& response,
                    const std::vector<std::int64_t>& expected,
-                   double latency_us) {
+                   double latency_us, double started) {
   if (!response.ok) {
     switch (response.code) {
       case serve::ErrorCode::kOverloaded:
@@ -207,6 +207,7 @@ void Tally::Record(const serve::Response& response,
   ++ok;
   rows_ok += expected.size();
   latencies_us.push_back(latency_us);
+  started_s.push_back(started);
 }
 
 void Tally::Merge(const Tally& other) {
@@ -221,6 +222,28 @@ void Tally::Merge(const Tally& other) {
   broken += other.broken;
   latencies_us.insert(latencies_us.end(), other.latencies_us.begin(),
                       other.latencies_us.end());
+  started_s.insert(started_s.end(), other.started_s.begin(),
+                   other.started_s.end());
+}
+
+double SlicedQuantile(const Tally& tally, double q, std::size_t slice) {
+  std::vector<std::size_t> order(tally.latencies_us.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return tally.started_s[a] < tally.started_s[b];
+  });
+  // A short last slice joins the one before it.
+  const std::size_t slices = std::max<std::size_t>(1, order.size() / slice);
+  std::vector<double> per_slice;
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::size_t end = s + 1 == slices ? order.size() : (s + 1) * slice;
+    std::vector<double> values;
+    for (std::size_t i = s * slice; i < end; ++i) {
+      values.push_back(tally.latencies_us[order[i]]);
+    }
+    per_slice.push_back(Percentile(std::move(values), q));
+  }
+  return Percentile(std::move(per_slice), 0.5);
 }
 
 double Percentile(std::vector<double> values, double q) {

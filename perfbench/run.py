@@ -5,9 +5,10 @@
     python3 perfbench/run.py --self-test
 
 Run from the repository root. Builds perfbench/ (the library, the
-example_model_server daemon and the driver) into $CARGO_TARGET_DIR/perfbench
+example_model_server daemon and the perfbench_run program) into
+$CARGO_TARGET_DIR/perfbench
 (default .bench_build/perfbench), trains the demo fixtures once, then runs
-the driver, whose last stdout line is the result object. Exits non-zero
+perfbench_run, whose last stdout line is the result object. Exits non-zero
 without a result when the sources are missing or the build fails.
 """
 import argparse
@@ -88,12 +89,12 @@ def load_spec():
         return json.load(f)
 
 
-def driver_run(bdir, spec, workload, seed, seconds, trace, extra=()):
+def measure(bdir, spec, workload, seed, seconds, trace, extra=()):
     """Runs one measurement; returns (exit code, stdout lines)."""
     p50_bound = next(m["bound"] for m in spec["end_to_end"]
                      if m["name"] == "latency_p50_us")
     sha, dirty = git_info()
-    cmd = [os.path.join(bdir, "perfbench_driver"), "run",
+    cmd = [os.path.join(bdir, "perfbench_run"), "run",
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace),
            "--fixtures", os.path.join(bdir, "fixtures"),
@@ -108,7 +109,7 @@ def driver_run(bdir, spec, workload, seed, seconds, trace, extra=()):
                               timeout=RUN_TIMEOUT_S,
                               preexec_fn=die_with_parent)
     except subprocess.TimeoutExpired:
-        log(f"{workload}: driver timed out after {RUN_TIMEOUT_S} s")
+        log(f"{workload}: perfbench_run timed out after {RUN_TIMEOUT_S} s")
         return 1, []
     return proc.returncode, proc.stdout.splitlines()
 
@@ -130,8 +131,8 @@ def self_test(bdir, spec):
     failures = []
     for workload in spec["workloads"]:
         for trace, section in ((0, "end_to_end"), (1, "per_layer")):
-            code, lines = driver_run(bdir, spec, workload["name"], 1, 1, trace,
-                                     ["--smoke"])
+            code, lines = measure(bdir, spec, workload["name"], 1, 1, trace,
+                                  ["--smoke"])
             result = last_result(lines)
             what = f"{workload['name']} --trace {trace}"
             if code != 0 or result is None or not result["correct"]:
@@ -145,8 +146,8 @@ def self_test(bdir, spec):
             else:
                 log(f"self-test: {what}: {len(got)} metrics ok")
     first = spec["workloads"][0]["name"]
-    code, lines = driver_run(bdir, spec, first, 1, 1, 0,
-                             ["--smoke", "--corrupt-expectation"])
+    code, lines = measure(bdir, spec, first, 1, 1, 0,
+                          ["--smoke", "--corrupt-expectation"])
     result = last_result(lines)
     if code == 0 or result is None or result["correct"] or result["metrics"]:
         failures.append(f"corrupted expectation was not caught: exit {code}, "
@@ -180,7 +181,7 @@ def main():
     if not build(bdir):
         log("build failed")
         return 1
-    prepare = [os.path.join(bdir, "perfbench_driver"), "prepare",
+    prepare = [os.path.join(bdir, "perfbench_run"), "prepare",
                "--fixtures", os.path.join(bdir, "fixtures")]
     if subprocess.run(prepare, stdout=sys.stderr,
                       env=dict(os.environ, OMP_NUM_THREADS="1"),
@@ -189,12 +190,12 @@ def main():
         return 1
     if args.self_test:
         return self_test(bdir, spec)
-    code, lines = driver_run(bdir, spec, args.workload, args.seed,
-                             args.seconds, args.trace)
+    code, lines = measure(bdir, spec, args.workload, args.seed,
+                          args.seconds, args.trace)
     for line in lines:
         print(line)
     if code == 0 and last_result(lines) is None:
-        log("driver printed no result object")
+        log("perfbench_run printed no result object")
         return 1
     return code
 

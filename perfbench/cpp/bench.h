@@ -47,6 +47,8 @@ struct Workload {
   std::int64_t replay_requests = 0;
   /// Serial requests of the unloaded one-connection roundtrip probe.
   std::int64_t unloaded_requests = 0;
+  /// The traced-run check the workload's rationale rests on.
+  std::string rationale_check;
 
   bool hooks() const { return drift_every > 0 || check_every > 0; }
 };
@@ -210,13 +212,32 @@ struct NamedValue {
   std::string unit;
 };
 
+/// A share the traced run shows against its threshold. A claimed check is
+/// printed pass or FAIL; the others are for information. A gated check that
+/// fails makes the run invalid.
+struct Check {
+  std::string name;
+  double value = 0.0;
+  /// Passes when value >= min.
+  double min = 0.0;
+  bool claimed = false;
+  bool gated = false;
+
+  bool passed() const { return value >= min; }
+};
+
+/// trace.coverage is gated on every workload; any other check is claimed on
+/// the workload whose rationale it is.
+Check MakeCheck(const Workload& workload, const std::string& name,
+                double value, double min);
+
 struct ReplayResult {
   /// Per-layer metrics that every workload reports.
   std::vector<NamedValue> metrics;
   /// Per-model layer and per-stage detail (model-specific names).
   std::vector<NamedValue> detail;
-  /// Shares the workload's rationale rests on.
-  std::vector<NamedValue> checks;
+  /// Shares the workload's rationale rests on, and trace coverage.
+  std::vector<Check> checks;
   double predict_mean_us = 0.0;
   /// Drift plus check time per request.
   double hooks_mean_us = 0.0;

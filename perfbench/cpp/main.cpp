@@ -6,7 +6,7 @@
 //
 //   perfbench_run run --workload NAME --seed N --seconds S --trace 0|1
 //                     --fixtures DIR --daemon PATH --work DIR
-//                     [--p50-bound X] [--smoke] [--corrupt-expectation]
+//                     --p50-bound X [--smoke] [--corrupt-expectation]
 //                     [--git-sha SHA] [--git-dirty 0|1]
 //                     [--source-digest HEX]
 //       starts example_model_server as its own process, measures set-up,
@@ -52,7 +52,8 @@ struct Options {
   std::string fixtures;
   std::string daemon;
   std::string work;
-  double p50_bound = 0.1;
+  /// The latency_p50_us bound of BENCHMARK.json (required for run).
+  double p50_bound = std::nan("");
   bool smoke = false;
   bool corrupt = false;
   std::string git_sha = "unknown";
@@ -90,9 +91,11 @@ Options ParseOptions(int argc, char** argv) {
   if (o.fixtures.empty()) throw std::invalid_argument("--fixtures is required");
   if (o.command == "run" &&
       (o.workload.empty() || o.daemon.empty() || o.work.empty() ||
-       o.seconds <= 0.0 || (o.trace != 0 && o.trace != 1))) {
+       o.seconds <= 0.0 || (o.trace != 0 && o.trace != 1) ||
+       !(o.p50_bound > 0.0))) {
     throw std::invalid_argument(
-        "run needs --workload, --daemon, --work, --seconds > 0, --trace 0|1");
+        "run needs --workload, --daemon, --work, --seconds > 0, --trace 0|1, "
+        "--p50-bound > 0");
   }
   return o;
 }
@@ -193,6 +196,29 @@ void PrintLines(const char* tag, const std::vector<NamedValue>& values) {
   }
 }
 
+const char* CheckStatus(const Check& c) {
+  if (!c.claimed) return "info";
+  return c.passed() ? "pass" : "FAIL";
+}
+
+void PrintChecks(const std::vector<Check>& checks) {
+  for (const Check& c : checks) {
+    std::printf("check   %-44s %14.3f >= %.2f %s%s\n", c.name.c_str(),
+                c.value, c.min, CheckStatus(c), c.gated ? " (gated)" : "");
+  }
+}
+
+std::string ChecksObject(const std::vector<Check>& checks) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    out += (i ? ", " : "") + JsonString(checks[i].name) +
+           ": {\"value\": " + JsonNumber(checks[i].value) +
+           ", \"min\": " + JsonNumber(checks[i].min) +
+           ", \"status\": " + JsonString(CheckStatus(checks[i])) + "}";
+  }
+  return out + "}";
+}
+
 /// Starts the daemon, then waits until every model answered one predict;
 /// returns the seconds from exec to that point.
 double StartDaemon(const Options& o, const std::vector<std::string>& args,
@@ -234,7 +260,7 @@ int Run(const Options& o) {
   daemon_argv.insert(daemon_argv.end(), args.begin(), args.end());
 
   // -- Set-up: several cold starts, the last daemon stays up ---------------
-  const int starts = o.smoke ? 1 : 5;
+  const int starts = o.smoke ? 1 : 9;
   std::vector<double> setup_s;
   std::unique_ptr<Daemon> daemon;
   std::uint16_t port = 0;
@@ -258,8 +284,7 @@ int Run(const Options& o) {
   if (o.trace == 1) {
     (void)RunUnloaded(port, requests, 10);
     const PredictTotals before = ServerPredictTotals(port);
-    unloaded = RunUnloaded(port, requests,
-                           o.smoke ? 20 : w.unloaded_requests);
+    unloaded = RunUnloaded(port, requests, w.unloaded_requests);
     const PredictTotals after = ServerPredictTotals(port);
     unloaded_server_us = (after.latency_us - before.latency_us) /
                          static_cast<double>(after.requests - before.requests);
@@ -351,7 +376,10 @@ int Run(const Options& o) {
     const double shift =
         Percentile(t.latencies_us, 0.5) - Percentile(load.from_send_us, 0.5);
     info.push_back({"send_lateness_p50_shift_us", shift, "us"});
-    if (shift > o.p50_bound * p50) {
+    // A smoke run's one short window sits right after start-up, where the
+    // daemon's first health sweeps can starve the generator; it checks names
+    // and answers, not timing.
+    if (shift > o.p50_bound * p50 && !o.smoke) {
       std::printf("INVALID: generator lateness moved latency_p50_us by "
                   "%.1f us, over %.2f x %.1f us\n",
                   shift, o.p50_bound, p50);
@@ -396,13 +424,19 @@ int Run(const Options& o) {
     layer.push_back({"serve.server_mean_us",
                      requests_total > 0 ? latency_total / requests_total : 0.0,
                      "us"});
-    replay.checks.push_back(
-        {"share.transport_wait_over_predict",
-         (transport_us + p50 - unloaded_p50) / replay.predict_mean_us,
-         "ratio"});
+    replay.checks.push_back(MakeCheck(
+        w, "share.transport_wait_over_predict",
+        (transport_us + p50 - unloaded_p50) / replay.predict_mean_us, 1.0));
     PrintLines("layer", layer);
     PrintLines("detail", replay.detail);
-    PrintLines("check", replay.checks);
+    PrintChecks(replay.checks);
+    for (const Check& c : replay.checks) {
+      if (c.gated && !c.passed()) {
+        std::printf("INVALID: %s %.3f is below %.2f\n", c.name.c_str(),
+                    c.value, c.min);
+        valid = false;
+      }
+    }
   }
 
   std::ofstream record(fs::path(o.work) / "results" /
@@ -413,7 +447,7 @@ int Run(const Options& o) {
          << ", \"info\": " << MetricsObject(info)
          << ", \"per_layer\": " << MetricsObject(layer)
          << ", \"detail\": " << MetricsObject(replay.detail)
-         << ", \"checks\": " << MetricsObject(replay.checks) << "}\n";
+         << ", \"checks\": " << ChecksObject(replay.checks) << "}\n";
 
   if (!valid) {
     PrintResult(false, t, {});

@@ -4,6 +4,7 @@
 //
 //   serve.decode         serve::DecodeRequest on the request payload
 //   request              one reconstructed ModelServer::Handle predict
+//     serve.acquire      ModelRegistry::Acquire (lookup, hot-reload stat)
 //     engine.predict     Engine::Predict, step by step:
 //       nn.prefix        the float prefix, per minibatch
 //         nn.layer.*     one nn::Layer::Infer each
@@ -12,9 +13,11 @@
 //     health.drift       BackendHealthAdapter::InjectChipDrift, every chip
 //     health.check       health::HealthManager::CheckNow (heal included)
 //   serve.encode         serve::EncodeResponse of the answer
-//   core.program         the packed program re-executed through public core
-//     core.stage.*.patch   functions on the same packed input:
-//     core.stage.*.gemm    core::BuildPatchMatrix, core::XnorPopcountGemm
+//   core.program         core::BnnProgram::PredictPacked on the same packed
+//                        input (the compiled weights, one thread)
+//   core.stage.*.patch   per GEMM stage, core::BuildPatchMatrix and
+//   core.stage.*.gemm    core::XnorPopcountGemm on seeded bits of that
+//                        stage's input shape, as the program calls them
 //
 // The reconstruction must give the served answers bit for bit, and its
 // health hooks must reprogram exactly as often as ModelServer's do.
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <random>
 #include <span>
 #include <stdexcept>
 
@@ -138,11 +142,12 @@ struct StageNames {
 
 /// Span name ids shared by every model of a replay.
 struct CommonNames {
-  int request, engine_predict, nn_prefix, sign_pack, backend, drift, check,
-      decode, encode, program;
+  int request, acquire, engine_predict, nn_prefix, sign_pack, backend, drift,
+      check, decode, encode, program;
 
   explicit CommonNames(Tracer& t)
       : request(t.Intern("request")),
+        acquire(t.Intern("serve.acquire")),
         engine_predict(t.Intern("engine.predict")),
         nn_prefix(t.Intern("nn.prefix")),
         sign_pack(t.Intern("core.sign_pack")),
@@ -162,6 +167,8 @@ struct ReplayModel {
   std::uint64_t requests = 0;
   std::vector<int> layer_names;
   std::vector<StageNames> stage_names;
+  /// Seeded input bits of each GEMM stage's shape, one request's rows.
+  std::vector<core::BitMatrix> stage_inputs;
 };
 
 struct LoadTimes {
@@ -182,10 +189,11 @@ engine::Engine LoadEngine(const std::string& path, const std::string& backend,
 }
 
 ReplayModel MakeReplayModel(const RequestSet& requests, std::size_t m,
-                            const std::string& backend, Tracer& tracer,
+                            const Workload& workload, Tracer& tracer,
                             LoadTimes& times) {
   ReplayModel model{requests.model_name(m),
-                    LoadEngine(requests.artifact(m), backend, times), 0, {}, {}};
+                    LoadEngine(requests.artifact(m), workload.backend, times),
+                    0, {}, {}, {}};
   const nn::Sequential& net = model.engine.net();
   for (std::size_t i = 0; i < model.engine.classifier_start(); ++i) {
     char index[24];
@@ -194,6 +202,7 @@ ReplayModel MakeReplayModel(const RequestSet& requests, std::size_t m,
                                               index + "." +
                                               Kind(net[i].Name())));
   }
+  std::mt19937_64 rng(m + 1);
   std::size_t g = 0;
   for (const core::PackedGemmStage* stage :
        model.engine.compiled_program().GemmStages()) {
@@ -202,6 +211,11 @@ ReplayModel MakeReplayModel(const RequestSet& requests, std::size_t m,
                              LoweringName(stage->lowering);
     model.stage_names.push_back(
         {tracer.Intern(base + ".patch"), tracer.Intern(base + ".gemm")});
+    const std::int64_t rows = workload.rows_per_request;
+    std::vector<float> signs(static_cast<std::size_t>(rows * stage->in_bits()));
+    for (float& v : signs) v = (rng() & 1u) ? 1.0f : -1.0f;
+    model.stage_inputs.push_back(
+        core::BitMatrix::FromSignRows(signs, rows, stage->in_bits()));
   }
   return model;
 }
@@ -251,15 +265,18 @@ std::vector<std::int64_t> ReconstructedPredict(ReplayModel& model,
   return engine.backend().PredictPacked(packed);
 }
 
-/// ModelServer's post-serve hooks: drift, then a due check.
-void RunHooks(const Workload& workload, ReplayModel& model, Tracer& tracer,
+/// ModelServer's post-serve hooks: drift, then a due check. Returns whether
+/// either ran.
+bool RunHooks(const Workload& workload, ReplayModel& model, Tracer& tracer,
               const CommonNames& names, std::uint64_t request) {
   ++model.requests;
   engine::Engine& engine = model.engine;
-  if (!workload.hooks() || !engine.SupportsHealth()) return;
+  if (!workload.hooks() || !engine.SupportsHealth()) return false;
   health::BackendHealthAdapter& adapter = *engine.backend().health_adapter();
+  bool ran = false;
   if (workload.drift_ber > 0.0 && workload.drift_every > 0 &&
       model.requests % workload.drift_every == 0) {
+    ran = true;
     Scoped drift(tracer, names.drift, request);
     const std::uint64_t seed = serve::HealthServingConfig{}.drift_seed;
     for (int chip = 0; chip < adapter.num_chips(); ++chip) {
@@ -270,130 +287,59 @@ void RunHooks(const Workload& workload, ReplayModel& model, Tracer& tracer,
   }
   if (workload.check_every > 0 && model.requests % workload.check_every == 0 &&
       adapter.SupportsReadback()) {
+    ran = true;
     Scoped check(tracer, names.check, request);
     engine.Health().CheckNow();
   }
+  return ran;
 }
 
-/// Max pooling over {-1,+1} bits (OR over each window; no padding).
-core::BitMatrix PoolBits(const core::BitMatrix& in,
-                         const core::StageGeometry& g) {
-  const std::int64_t oh = g.OutH(), ow = g.OutW();
-  core::BitMatrix out(in.rows(), g.in_channels * oh * ow);
-  for (std::int64_t i = 0; i < in.rows(); ++i) {
-    const std::span<const std::uint64_t> words = in.RowWords(i);
-    for (std::int64_t c = 0; c < g.in_channels; ++c) {
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          bool any = false;
-          for (std::int64_t ky = 0; ky < g.kernel_h && !any; ++ky) {
-            for (std::int64_t kx = 0; kx < g.kernel_w && !any; ++kx) {
-              const std::int64_t iy = oy * g.stride_h + ky;
-              const std::int64_t ix = ox * g.stride_w + kx;
-              const std::int64_t b = (c * g.in_h + iy) * g.in_w + ix;
-              any = (words[static_cast<std::size_t>(b / 64)] >> (b % 64)) & 1u;
-            }
-          }
-          if (any) out.Set(i, (c * oh + oy) * ow + ox, +1);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-std::int32_t Threshold(const core::PackedGemmStage& g, std::int64_t unit,
-                       std::int64_t patch) {
-  return g.thresholds[static_cast<std::size_t>(
-      g.per_pixel_thresholds ? unit * g.num_patches() + patch : unit)];
-}
-
-/// The packed program executed through public core functions, with a
-/// patch and a GEMM span per stage.
-std::vector<std::int64_t> ShadowProgram(const ReplayModel& model,
-                                        const core::BitMatrix& input,
-                                        Tracer& tracer,
-                                        const CommonNames& names,
-                                        std::uint64_t request) {
-  Scoped whole(tracer, names.program, request);
-  const core::BnnProgram& program = model.engine.compiled_program();
-  const std::int64_t n = input.rows();
-  const core::BitMatrix* cur = &input;
-  core::BitMatrix act;
+/// Each GEMM stage's patch gather and XNOR GEMM, as BnnProgram::ScoresBatch
+/// calls them (a depthwise stage one channel at a time), on the stage's
+/// seeded input bits: the kernels' cost does not depend on the bit values.
+void StageKernels(const ReplayModel& model, Tracer& tracer,
+                  std::uint64_t request) {
+  const std::vector<const core::PackedGemmStage*> stages =
+      model.engine.compiled_program().GemmStages();
   std::vector<std::int32_t> pops;
-  std::size_t gi = 0;
-  for (const core::ProgramStage& stage : program.stages()) {
-    if (stage.kind == core::StageKind::kPool) {
-      act = PoolBits(*cur, stage.pool.geom);
-      cur = &act;
-      continue;
-    }
-    if (stage.kind != core::StageKind::kPackedGemm) continue;
-    const core::PackedGemmStage& g = stage.gemm;
-    const StageNames& sn = model.stage_names[gi++];
-    const std::int64_t units = g.units();
-    if (g.is_output) {
-      {
-        Scoped gemm(tracer, sn.gemm, request);
-        core::XnorPopcountGemm(*cur, g.weights, pops);
-      }
-      std::vector<float> scores(static_cast<std::size_t>(n * units));
-      for (std::int64_t i = 0; i < n * units; ++i) {
-        const std::size_t k = static_cast<std::size_t>(i % units);
-        const auto dot = static_cast<float>(
-            2 * static_cast<std::int64_t>(pops[static_cast<std::size_t>(i)]) -
-            g.weights.cols());
-        scores[static_cast<std::size_t>(i)] = g.scale[k] * dot + g.offset[k];
-      }
-      return core::ArgmaxRows(scores, n, units);
-    }
-    core::BitMatrix next(n, g.out_bits());
-    const std::int64_t patches = g.num_patches();
-    if (g.lowering == core::GemmLowering::kDepthwise) {
-      for (std::int64_t c = 0; c < units; ++c) {
-        core::BitMatrix im2col;
-        {
-          Scoped patch(tracer, sn.patch, request);
-          im2col = core::BuildPatchMatrix(*cur, g.geom, c, c + 1);
-        }
-        {
-          Scoped gemm(tracer, sn.gemm, request);
-          core::XnorPopcountGemm(im2col, g.weights.RowSlice(c, c + 1), pops);
-        }
-        for (std::int64_t i = 0; i < n; ++i) {
-          for (std::int64_t p = 0; p < patches; ++p) {
-            if (pops[static_cast<std::size_t>(i * patches + p)] >=
-                Threshold(g, c, p)) {
-              next.Set(i, c * patches + p, +1);
-            }
-          }
-        }
-      }
-    } else {
+  for (std::size_t g = 0; g < stages.size(); ++g) {
+    const core::PackedGemmStage& stage = *stages[g];
+    const StageNames& sn = model.stage_names[g];
+    const core::BitMatrix& input = model.stage_inputs[g];
+    const std::int64_t channels =
+        stage.lowering == core::GemmLowering::kDepthwise ? stage.units() : 1;
+    for (std::int64_t c = 0; c < channels; ++c) {
       core::BitMatrix im2col;
-      const core::BitMatrix* x = cur;
-      if (g.lowering == core::GemmLowering::kConv) {
+      if (stage.lowering != core::GemmLowering::kDense) {
         Scoped patch(tracer, sn.patch, request);
-        im2col = core::BuildPatchMatrix(*cur, g.geom, 0, g.geom.in_channels);
-        x = &im2col;
+        im2col = stage.lowering == core::GemmLowering::kConv
+                     ? core::BuildPatchMatrix(input, stage.geom, 0,
+                                              stage.geom.in_channels)
+                     : core::BuildPatchMatrix(input, stage.geom, c, c + 1);
       }
-      {
-        Scoped gemm(tracer, sn.gemm, request);
-        core::XnorPopcountGemm(*x, g.weights, pops);
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        for (std::int64_t p = 0; p < patches; ++p) {
-          const std::int32_t* row = pops.data() + (i * patches + p) * units;
-          for (std::int64_t u = 0; u < units; ++u) {
-            if (row[u] >= Threshold(g, u, p)) next.Set(i, u * patches + p, +1);
-          }
-        }
+      Scoped gemm(tracer, sn.gemm, request);
+      if (stage.lowering == core::GemmLowering::kDepthwise) {
+        core::XnorPopcountGemm(im2col, stage.weights.RowSlice(c, c + 1), pops);
+      } else {
+        core::XnorPopcountGemm(
+            stage.lowering == core::GemmLowering::kConv ? im2col : input,
+            stage.weights, pops);
       }
     }
-    act = std::move(next);
-    cur = &act;
   }
-  throw std::logic_error("program has no output stage");
+}
+
+/// Median duration of a span with nothing in it: the tracer's own cost
+/// inside every span it records.
+double EmptySpanUs() {
+  Tracer tracer(true);
+  const int name = tracer.Intern("empty");
+  for (int i = 0; i < 4096; ++i) tracer.End(tracer.Begin(name, 0));
+  std::vector<double> us;
+  for (const Span& s : tracer.spans()) {
+    us.push_back(static_cast<double>(s.end_ns - s.start_ns) / 1000.0);
+  }
+  return Percentile(std::move(us), 0.5);
 }
 
 std::uint64_t TotalReprograms(std::vector<ReplayModel>& models) {
@@ -450,9 +396,8 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
     server.registry().Register(requests.model_name(m), requests.artifact(m));
     (void)server.registry().Acquire(requests.model_name(m));
     plain.push_back(LoadEngine(requests.artifact(m), workload.backend, loads));
-    untraced.push_back(
-        MakeReplayModel(requests, m, workload.backend, off, loads));
-    traced.push_back(MakeReplayModel(requests, m, workload.backend, on, loads));
+    untraced.push_back(MakeReplayModel(requests, m, workload, off, loads));
+    traced.push_back(MakeReplayModel(requests, m, workload, on, loads));
   }
 
   // Warm-up: every distinct request once on every arm, through predicts
@@ -471,6 +416,8 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
   }
 
   std::vector<double> handle_us, predict_us, handle_glue_us, untraced_us;
+  // Per request: model index * 2 + whether a health hook ran.
+  std::vector<int> kind;
   std::vector<std::uint64_t> model_requests(requests.num_models(), 0);
   for (std::uint64_t k = 0; k < total; ++k) {
     const std::size_t m = requests.ModelOf(k);
@@ -491,12 +438,15 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
       ++result.mismatches;
     }
 
+    // Both reconstructions look the model up in the server's registry, as
+    // Handle does, then predict on their own engine.
     const Clock::time_point t3 = Clock::now();
+    (void)server.registry().Acquire(request.model);
     if (ReconstructedPredict(untraced[m], request.batch, off, off_names, k,
                              packed) != expected) {
       ++result.mismatches;
     }
-    RunHooks(workload, untraced[m], off, off_names, k);
+    (void)RunHooks(workload, untraced[m], off, off_names, k);
     untraced_us.push_back(Micros(Clock::now() - t3));
 
     const std::vector<std::uint8_t> payload = serve::EncodeRequest(request);
@@ -511,22 +461,25 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
     response.backend = workload.backend;
     {
       Scoped root(on, on_names.request, k);
+      {
+        Scoped acquire(on, on_names.acquire, k);
+        (void)server.registry().Acquire(decoded.model);
+      }
       response.predictions = ReconstructedPredict(traced[m], decoded.batch, on,
                                                   on_names, k, packed);
-      RunHooks(workload, traced[m], on, on_names, k);
+      const bool hooked = RunHooks(workload, traced[m], on, on_names, k);
+      kind.push_back(static_cast<int>(m) * 2 + (hooked ? 1 : 0));
     }
     {
       Scoped encode(on, on_names.encode, k);
       (void)serve::EncodeResponse(response);
     }
     if (response.predictions != expected) ++result.mismatches;
-    const std::vector<std::int64_t> shadow =
-        ShadowProgram(traced[m], packed, on, on_names, k);
-    if (k < requests.cycle() &&
-        shadow != traced[m].engine.compiled_program().PredictPacked(packed)) {
-      throw std::runtime_error(
-          "core replay disagrees with BnnProgram::PredictPacked");
+    {
+      Scoped program(on, on_names.program, k);
+      (void)traced[m].engine.compiled_program().PredictPacked(packed);
     }
+    StageKernels(traced[m], on, k);
   }
   std::uint64_t reprograms_handle = 0;
   for (const serve::ModelHealthWire& h : server.CollectHealth("")) {
@@ -553,6 +506,26 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
           static_cast<double>(s.end_ns - s.start_ns) / 1000.0;
     }
   }
+  // The leaf layers of a request: the registry lookup, every prefix layer,
+  // the sign-pack, the backend call and the health hooks. Coverage counts
+  // only their time, less the tracer's own cost inside each span, so copies
+  // in nn.prefix and engine.predict and Handle's own work stay uncovered.
+  // Each kind of request (model, and whether a health hook ran) counts with
+  // its number of requests at the median time of that kind, in leaf and in
+  // Handle time alike: a host stall in one arm moves nothing, and the rare
+  // hook requests keep their share of the time.
+  std::vector<char> leaf(on.num_names(), 0);
+  for (const ReplayModel& model : traced) {
+    for (const int id : model.layer_names) {
+      leaf[static_cast<std::size_t>(id)] = 1;
+    }
+  }
+  for (const int id : {on_names.acquire, on_names.sign_pack, on_names.backend,
+                       on_names.drift, on_names.check}) {
+    leaf[static_cast<std::size_t>(id)] = 1;
+  }
+  const double empty_span_us = EmptySpanUs();
+  std::vector<double> leaf_us(total, 0.0);
   std::vector<NameTotals> by_name(on.num_names());
   std::vector<double> traced_request_us;
   for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -562,6 +535,9 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
     t.total_us += dur;
     t.self_us += dur - child_us[i];
     if (spans[i].name == on_names.request) traced_request_us.push_back(dur);
+    if (leaf[static_cast<std::size_t>(spans[i].name)]) {
+      leaf_us[spans[i].request] += std::max(0.0, dur - empty_span_us);
+    }
   }
   const auto per_request = [&](int name) {
     return by_name[static_cast<std::size_t>(name)].total_us /
@@ -595,7 +571,6 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
     }
   }
   const double n = static_cast<double>(total);
-  const NameTotals& root = by_name[static_cast<std::size_t>(on_names.request)];
   const double handle_mean = Mean(handle_us);
   result.hooks_mean_us =
       per_request(on_names.drift) + per_request(on_names.check);
@@ -619,27 +594,49 @@ ReplayResult RunReplay(const Workload& workload, const RequestSet& requests,
   out.push_back({"io.load_us", Mean(loads.load_us), "us"});
   out.push_back({"serve.decode_us", per_request(on_names.decode), "us"});
   out.push_back({"serve.encode_us", per_request(on_names.encode), "us"});
+  out.push_back({"serve.acquire_us", per_request(on_names.acquire), "us"});
   out.push_back({"serve.handle_us", handle_mean, "us"});
   // Median of the paired differences: the typical request runs no hook.
   out.push_back({"serve.handle_glue_us", Percentile(handle_glue_us, 0.5),
                  "us"});
-  out.push_back({"trace.coverage",
-                 (root.total_us - root.self_us) / (handle_mean * n),
-                 "fraction"});
-  out.push_back({"trace.overhead_us",
-                 Mean(traced_request_us) - Mean(untraced_us), "us"});
+  std::map<int, std::pair<std::vector<double>, std::vector<double>>> kinds;
+  for (std::uint64_t k = 0; k < total; ++k) {
+    kinds[kind[k]].first.push_back(leaf_us[k]);
+    kinds[kind[k]].second.push_back(handle_us[k]);
+  }
+  double covered_us = 0.0, handled_us = 0.0;
+  for (auto& [key, times] : kinds) {
+    const double count = static_cast<double>(times.first.size());
+    covered_us += count * Percentile(std::move(times.first), 0.5);
+    handled_us += count * Percentile(std::move(times.second), 0.5);
+  }
+  const double coverage = covered_us / handled_us;
+  out.push_back({"trace.coverage", coverage, "fraction"});
+  // Median of the paired per-request differences: one slow request in
+  // either arm does not move it.
+  std::vector<double> overhead_us;
+  for (std::size_t k = 0; k < traced_request_us.size(); ++k) {
+    overhead_us.push_back(traced_request_us[k] - untraced_us[k]);
+  }
+  out.push_back({"trace.overhead_us", Percentile(std::move(overhead_us), 0.5),
+                 "us"});
 
   result.detail.push_back({"health.drift_us", per_request(on_names.drift), "us"});
   result.detail.push_back({"health.check_us", per_request(on_names.check), "us"});
   result.detail.push_back({"health.replay_reprograms",
                            static_cast<double>(reprograms_traced), "count"});
+  result.detail.push_back({"trace.empty_span_us", empty_span_us, "us"});
+  result.detail.push_back({"trace.spans_per_request",
+                           static_cast<double>(spans.size()) / n, "count"});
   const double predict = result.predict_mean_us;
   result.checks.push_back(
-      {"share.prefix_of_predict", per_request(on_names.nn_prefix) / predict,
-       "fraction"});
-  result.checks.push_back(
-      {"share.backend_of_predict", per_request(on_names.backend) / predict,
-       "fraction"});
+      MakeCheck(workload, "trace.coverage", coverage, 0.95));
+  result.checks.push_back(MakeCheck(workload, "share.prefix_of_predict",
+                                    per_request(on_names.nn_prefix) / predict,
+                                    0.9));
+  result.checks.push_back(MakeCheck(workload, "share.backend_of_predict",
+                                    per_request(on_names.backend) / predict,
+                                    0.6));
   return result;
 }
 

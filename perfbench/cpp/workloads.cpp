@@ -36,6 +36,7 @@ const std::vector<Workload>& AllWorkloads() {
     w[0].pool_per_model = 8;
     w[0].replay_requests = 160;
     w[0].unloaded_requests = 100;
+    w[0].rationale_check = "share.prefix_of_predict";
     // The packed conv program (patch gather + XNOR GEMM over readback
     // substrates, per-call shard threads) dominates each predict.
     w[1].name = "image-conv";
@@ -45,6 +46,7 @@ const std::vector<Workload>& AllWorkloads() {
     w[1].pool_per_model = 16;
     w[1].replay_requests = 240;
     w[1].unloaded_requests = 150;
+    w[1].rationale_check = "share.backend_of_predict";
     // One-window requests: per-request fixed costs and the exclusive health
     // write path (drift, check, reprogram) beside shared reads.
     w[2].name = "monitor-stream";
@@ -60,7 +62,10 @@ const std::vector<Workload>& AllWorkloads() {
                          "--health-check-every", "32"};
     w[2].pool_per_model = 128;
     w[2].replay_requests = 1280;
-    w[2].unloaded_requests = 400;
+    // 192 per model: exactly six drift + check events each, whatever the
+    // phase of the daemon's request counters, as in the replay's mean.
+    w[2].unloaded_requests = 384;
+    w[2].rationale_check = "share.transport_wait_over_predict";
     return w;
   }();
   return workloads;
@@ -74,6 +79,12 @@ const Workload& FindWorkload(const std::string& name) {
   }
   throw std::invalid_argument("unknown workload '" + name + "' (known: " +
                               known + ")");
+}
+
+Check MakeCheck(const Workload& workload, const std::string& name,
+                double value, double min) {
+  const bool gated = name == "trace.coverage";
+  return {name, value, min, gated || name == workload.rationale_check, gated};
 }
 
 std::string FixturePath(const std::string& dir, const std::string& model) {

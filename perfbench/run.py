@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serving benchmark entry point.
 
-    python3 perfbench/run.py --workload image-conv --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload image-conv --seed 1 --seconds 45 --trace 0
     python3 perfbench/run.py --self-test
 
 Run from the repository root. Builds perfbench/ (the library, the
@@ -136,7 +136,10 @@ def self_test(bdir, spec):
             result = last_result(lines)
             what = f"{workload['name']} --trace {trace}"
             if code != 0 or result is None or not result["correct"]:
-                failures.append(f"{what}: exit {code}, result {result}")
+                reasons = [line for line in lines
+                           if line.startswith(("INVALID", "MISMATCH", "error"))]
+                failures.append(f"{what}: exit {code}, result {result} "
+                                f"{reasons}")
                 continue
             want = {m["name"]: m["unit"] for m in spec[section]}
             got = {k: v.get("unit") for k, v in result["metrics"].items()}
@@ -164,7 +167,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=45)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()

@@ -107,8 +107,8 @@ int Serve(const std::string& artifact) {
     eng.Deploy("rram");
     const double acc_worn = eng.Evaluate(val);
     auto& refreshed =
-        dynamic_cast<engine::RramBackend&>(eng.Deploy("rram"));
-    refreshed.fabric().Stress(0, /*reprogram_after=*/true);
+        dynamic_cast<engine::ShardedRramBackend&>(eng.Deploy("rram"));
+    refreshed.shard(0).Stress(0, /*reprogram_after=*/true);
     const double acc_ref = eng.Evaluate(val);
     std::printf("%12.0e  %17.1f%%  %17.1f%%\n", age, 100.0 * acc_worn,
                 100.0 * acc_ref);

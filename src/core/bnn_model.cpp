@@ -1,10 +1,8 @@
 #include "core/bnn_model.h"
 
 #include <algorithm>
-#include <span>
+#include <iterator>
 #include <stdexcept>
-
-#include "core/bitgemm.h"
 
 namespace rrambnn::core {
 
@@ -21,183 +19,6 @@ std::vector<std::int64_t> ArgmaxRows(std::span<const float> scores,
         std::distance(row, std::max_element(row, row + classes));
   }
   return preds;
-}
-
-BitVector BnnDenseLayer::Forward(const BitVector& x) const {
-  BitVector out;
-  ForwardInto(x, out);
-  return out;
-}
-
-void BnnDenseLayer::ForwardInto(const BitVector& x, BitVector& out) const {
-  if (x.size() != in_features()) {
-    throw std::invalid_argument("BnnDenseLayer: input size mismatch");
-  }
-  if (out.size() != out_features()) out = BitVector(out_features());
-  for (std::int64_t j = 0; j < out_features(); ++j) {
-    const std::int64_t pop = weights.RowXnorPopcount(j, x);
-    out.Set(j, pop >= thresholds[static_cast<std::size_t>(j)] ? +1 : -1);
-  }
-}
-
-BitMatrix BnnDenseLayer::ForwardBatch(
-    const BitMatrix& x, std::vector<std::int32_t>& pop_scratch) const {
-  if (x.cols() != in_features()) {
-    throw std::invalid_argument("BnnDenseLayer: batch width mismatch");
-  }
-  XnorPopcountGemm(x, weights, pop_scratch);
-  const std::int64_t n = x.rows(), m = out_features();
-  BitMatrix out(n, m);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int32_t* pops = pop_scratch.data() + i * m;
-    for (std::int64_t j = 0; j < m; ++j) {
-      if (pops[j] >= thresholds[static_cast<std::size_t>(j)]) out.Set(i, j, +1);
-    }
-  }
-  return out;
-}
-
-std::vector<float> BnnOutputLayer::Forward(const BitVector& x) const {
-  if (x.size() != in_features()) {
-    throw std::invalid_argument("BnnOutputLayer: input size mismatch");
-  }
-  std::vector<float> scores(static_cast<std::size_t>(num_classes()));
-  for (std::int64_t k = 0; k < num_classes(); ++k) {
-    const auto dot = static_cast<float>(weights.RowDotPm1(k, x));
-    scores[static_cast<std::size_t>(k)] =
-        scale[static_cast<std::size_t>(k)] * dot +
-        offset[static_cast<std::size_t>(k)];
-  }
-  return scores;
-}
-
-std::vector<float> BnnOutputLayer::ForwardBatch(
-    const BitMatrix& x, std::vector<std::int32_t>& pop_scratch) const {
-  if (x.cols() != in_features()) {
-    throw std::invalid_argument("BnnOutputLayer: batch width mismatch");
-  }
-  XnorPopcountGemm(x, weights, pop_scratch);
-  const std::int64_t n = x.rows(), m = num_classes();
-  std::vector<float> scores(static_cast<std::size_t>(n * m));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int32_t* pops = pop_scratch.data() + i * m;
-    float* row = scores.data() + i * m;
-    for (std::int64_t k = 0; k < m; ++k) {
-      // Same int -> float conversion and affine as the per-row path, so the
-      // resulting floats are bit-identical.
-      const auto dot =
-          static_cast<float>(2 * static_cast<std::int64_t>(pops[k]) -
-                             in_features());
-      row[k] = scale[static_cast<std::size_t>(k)] * dot +
-               offset[static_cast<std::size_t>(k)];
-    }
-  }
-  return scores;
-}
-
-void BnnModel::AddHidden(BnnDenseLayer layer) {
-  if (layer.thresholds.size() !=
-      static_cast<std::size_t>(layer.weights.rows())) {
-    throw std::invalid_argument("AddHidden: threshold count != rows");
-  }
-  hidden_.push_back(std::move(layer));
-}
-
-void BnnModel::SetOutput(BnnOutputLayer layer) {
-  if (layer.scale.size() != static_cast<std::size_t>(layer.weights.rows()) ||
-      layer.offset.size() != static_cast<std::size_t>(layer.weights.rows())) {
-    throw std::invalid_argument("SetOutput: scale/offset count != classes");
-  }
-  output_ = std::move(layer);
-  has_output_ = true;
-}
-
-std::int64_t BnnModel::input_size() const {
-  if (!hidden_.empty()) return hidden_.front().in_features();
-  if (has_output_) return output_.in_features();
-  throw std::invalid_argument("BnnModel: empty model has no input size");
-}
-
-void BnnModel::Validate() const {
-  if (!has_output_) {
-    throw std::invalid_argument("BnnModel: missing output layer");
-  }
-  std::int64_t width = input_size();
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    const auto& layer = hidden_[i];
-    if (layer.in_features() != width) {
-      throw std::invalid_argument("BnnModel: layer " + std::to_string(i) +
-                                  " input width mismatch");
-    }
-    for (const std::int32_t t : layer.thresholds) {
-      // A threshold outside [0, in+1] makes the neuron constant in a way
-      // that cannot arise from BN folding over finite statistics.
-      if (t < 0 || t > layer.in_features() + 1) {
-        throw std::invalid_argument("BnnModel: threshold out of range");
-      }
-    }
-    width = layer.out_features();
-  }
-  if (output_.in_features() != width) {
-    throw std::invalid_argument("BnnModel: output layer width mismatch");
-  }
-}
-
-std::vector<float> BnnModel::Scores(const BitVector& x) const {
-  if (hidden_.empty()) return output_.Forward(x);
-  // Two ping-pong activation buffers instead of one allocation per layer.
-  BitVector a, b;
-  hidden_.front().ForwardInto(x, a);
-  for (std::size_t l = 1; l < hidden_.size(); ++l) {
-    hidden_[l].ForwardInto(a, b);
-    std::swap(a, b);
-  }
-  return output_.Forward(a);
-}
-
-std::vector<float> BnnModel::ScoresBatch(const BitMatrix& batch) const {
-  if (batch.cols() != input_size()) {
-    throw std::invalid_argument("ScoresBatch: batch width mismatch");
-  }
-  std::vector<std::int32_t> pops;  // shared popcount scratch across layers
-  const BitMatrix* cur = &batch;
-  BitMatrix act;
-  for (const auto& layer : hidden_) {
-    act = layer.ForwardBatch(*cur, pops);
-    cur = &act;
-  }
-  return output_.ForwardBatch(*cur, pops);
-}
-
-std::int64_t BnnModel::Predict(const BitVector& x) const {
-  const std::vector<float> s = Scores(x);
-  return std::distance(s.begin(), std::max_element(s.begin(), s.end()));
-}
-
-std::vector<std::int64_t> BnnModel::PredictPacked(
-    const BitMatrix& batch) const {
-  return ArgmaxRows(ScoresBatch(batch), batch.rows(), num_classes());
-}
-
-std::vector<std::int64_t> BnnModel::PredictBatch(const Tensor& features) const {
-  if (features.rank() != 2) {
-    throw std::invalid_argument("PredictBatch: expected [N, F]");
-  }
-  const std::int64_t n = features.dim(0), f = features.dim(1);
-  if (f != input_size()) {
-    throw std::invalid_argument("PredictBatch: feature width mismatch");
-  }
-  const BitMatrix packed = BitMatrix::FromSignRows(
-      std::span<const float>(features.data(), static_cast<std::size_t>(n * f)),
-      n, f);
-  return PredictPacked(packed);
-}
-
-std::int64_t BnnModel::TotalWeightBits() const {
-  std::int64_t bits = 0;
-  for (const auto& layer : hidden_) bits += layer.weights.bits();
-  if (has_output_) bits += output_.weights.bits();
-  return bits;
 }
 
 }  // namespace rrambnn::core

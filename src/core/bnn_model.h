@@ -1,21 +1,11 @@
-// Deployed (compiled) binarized classifier: the bit-exact software model of
-// what the in-memory fabric of Fig. 5 executes.
-//
-// Hidden layers compute   out_j = (popcount(XNOR(w_j, x)) >= theta_j)
-// with batch normalization folded into the integer threshold theta_j (and
-// negative BN gains absorbed by flipping the row weights), following the
-// paper's companion implementations (refs [15][16]). The output layer keeps
-// a per-class affine (scale, offset) over the integer dot product so the
-// softmax-free argmax decision matches the trained network.
+// Row-wise argmax over a class-score matrix: the decision rule shared by
+// every execution path of a compiled core::BnnProgram (the program itself
+// and every engine backend).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
-
-#include "core/bitops.h"
-#include "tensor/tensor.h"
 
 namespace rrambnn::core {
 
@@ -23,91 +13,5 @@ namespace rrambnn::core {
 /// maximum wins, matching single-row Predict() everywhere.
 std::vector<std::int64_t> ArgmaxRows(std::span<const float> scores,
                                      std::int64_t rows, std::int64_t classes);
-
-/// Hidden binarized dense layer: binary in -> binary out.
-struct BnnDenseLayer {
-  BitMatrix weights;                     // [out, in]
-  std::vector<std::int32_t> thresholds;  // popcount thresholds, one per row
-
-  std::int64_t in_features() const { return weights.cols(); }
-  std::int64_t out_features() const { return weights.rows(); }
-
-  /// out_j = +1 iff popcount(XNOR(w_j, x)) >= theta_j.
-  BitVector Forward(const BitVector& x) const;
-
-  /// Forward into a caller-owned output vector (resized on width mismatch)
-  /// so the per-row serving loop reuses activation storage across layers.
-  void ForwardInto(const BitVector& x, BitVector& out) const;
-
-  /// Batched forward over a packed activation batch [N, in] -> [N, out]
-  /// through the bit-plane GEMM. `pop_scratch` is the reusable popcount
-  /// buffer shared across the layers of one batch.
-  BitMatrix ForwardBatch(const BitMatrix& x,
-                         std::vector<std::int32_t>& pop_scratch) const;
-};
-
-/// Output layer: binary in -> real class scores.
-struct BnnOutputLayer {
-  BitMatrix weights;           // [classes, in]
-  std::vector<float> scale;    // per-class multiplier on the +/-1 dot
-  std::vector<float> offset;   // per-class additive term
-
-  std::int64_t in_features() const { return weights.cols(); }
-  std::int64_t num_classes() const { return weights.rows(); }
-
-  std::vector<float> Forward(const BitVector& x) const;
-
-  /// Batched scores over a packed batch [N, in]: row-major [N, classes].
-  std::vector<float> ForwardBatch(const BitMatrix& x,
-                                  std::vector<std::int32_t>& pop_scratch) const;
-};
-
-/// Compiled BNN classifier: a chain of hidden layers plus an output layer.
-class BnnModel {
- public:
-  BnnModel() = default;
-
-  void AddHidden(BnnDenseLayer layer);
-  void SetOutput(BnnOutputLayer layer);
-
-  std::int64_t input_size() const;
-  std::int64_t num_classes() const { return output_.num_classes(); }
-  std::size_t num_hidden() const { return hidden_.size(); }
-  const std::vector<BnnDenseLayer>& hidden() const { return hidden_; }
-  std::vector<BnnDenseLayer>& hidden() { return hidden_; }
-  const BnnOutputLayer& output() const { return output_; }
-  BnnOutputLayer& output() { return output_; }
-
-  /// Class scores for one packed input.
-  std::vector<float> Scores(const BitVector& x) const;
-
-  /// Class scores for a packed batch [N, input_size], computed layer by
-  /// layer through the bit-plane GEMM; row-major [N, num_classes].
-  /// Bit-identical to calling Scores() per row.
-  std::vector<float> ScoresBatch(const BitMatrix& batch) const;
-
-  /// Argmax class for one packed input.
-  std::int64_t Predict(const BitVector& x) const;
-
-  /// Argmax class per row of a packed batch (first maximum wins, exactly as
-  /// Predict).
-  std::vector<std::int64_t> PredictPacked(const BitMatrix& batch) const;
-
-  /// Batch prediction over real-valued feature rows [N, F]: the batch is
-  /// sign-packed in one pass and pushed through the batched kernels.
-  std::vector<std::int64_t> PredictBatch(const Tensor& features) const;
-
-  /// Total weight bits across all layers (Table IV accounting).
-  std::int64_t TotalWeightBits() const;
-
-  /// Structural validation (layer chaining, threshold ranges); throws
-  /// std::invalid_argument on inconsistency.
-  void Validate() const;
-
- private:
-  std::vector<BnnDenseLayer> hidden_;
-  BnnOutputLayer output_;
-  bool has_output_ = false;
-};
 
 }  // namespace rrambnn::core

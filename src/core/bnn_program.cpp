@@ -196,49 +196,24 @@ BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
   return BitMatrix::FromWords(n * patches, patch_bits, std::move(words));
 }
 
-BnnProgram BnnProgram::FromClassifier(const BnnModel& model) {
-  BnnProgram program;
-  program.SetInputShape({model.input_size(), 1, 1});
-  for (const BnnDenseLayer& layer : model.hidden()) {
-    ProgramStage stage;
-    stage.kind = StageKind::kPackedGemm;
-    stage.gemm.lowering = GemmLowering::kDense;
-    stage.gemm.weights = layer.weights;
-    stage.gemm.thresholds = layer.thresholds;
-    stage.out_shape = {layer.out_features(), 1, 1};
-    program.AddStage(std::move(stage));
-  }
-  const BnnOutputLayer& out = model.output();
+ProgramStage DenseHiddenStage(BitMatrix weights,
+                              std::vector<std::int32_t> thresholds) {
   ProgramStage stage;
-  stage.kind = StageKind::kPackedGemm;
-  stage.gemm.lowering = GemmLowering::kDense;
-  stage.gemm.weights = out.weights;
-  stage.gemm.is_output = true;
-  stage.gemm.scale = out.scale;
-  stage.gemm.offset = out.offset;
-  stage.out_shape = {out.num_classes(), 1, 1};
-  program.AddStage(std::move(stage));
-  return program;
+  stage.out_shape = {weights.rows(), 1, 1};
+  stage.gemm.weights = std::move(weights);
+  stage.gemm.thresholds = std::move(thresholds);
+  return stage;
 }
 
-BnnModel BnnProgram::ToClassifier() const {
-  if (!IsPureDense() || stages_.empty() || !stages_.back().gemm.is_output) {
-    throw std::logic_error(
-        "BnnProgram: not a pure dense classifier; no BnnModel form exists");
-  }
-  BnnModel model;
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    BnnDenseLayer layer;
-    layer.weights = stages_[i].gemm.weights;
-    layer.thresholds = stages_[i].gemm.thresholds;
-    model.AddHidden(std::move(layer));
-  }
-  BnnOutputLayer out;
-  out.weights = stages_.back().gemm.weights;
-  out.scale = stages_.back().gemm.scale;
-  out.offset = stages_.back().gemm.offset;
-  model.SetOutput(std::move(out));
-  return model;
+ProgramStage DenseOutputStage(BitMatrix weights, std::vector<float> scale,
+                              std::vector<float> offset) {
+  ProgramStage stage;
+  stage.out_shape = {weights.rows(), 1, 1};
+  stage.gemm.weights = std::move(weights);
+  stage.gemm.is_output = true;
+  stage.gemm.scale = std::move(scale);
+  stage.gemm.offset = std::move(offset);
+  return stage;
 }
 
 bool BnnProgram::IsPureDense() const {
@@ -526,17 +501,28 @@ void CheckGeometry(const StageGeometry& g, const StageShape& in,
     throw std::invalid_argument(
         at + "kernel_w > 64 exceeds the word-gather contract");
   }
-  if (g.OutH() < 1 || g.OutW() < 1) {
+  // Compared directly: OutH()/OutW() truncate a negative numerator toward
+  // zero, so an oversized kernel can still read as one output row/column.
+  if (g.kernel_h > g.in_h + 2 * g.pad_h || g.kernel_w > g.in_w + 2 * g.pad_w) {
     throw std::invalid_argument(at + "kernel does not fit the input");
   }
 }
 
 void CheckThresholds(const PackedGemmStage& g, std::size_t index) {
+  const std::string at = "BnnProgram: stage " + std::to_string(index);
   const std::size_t expected = static_cast<std::size_t>(
       g.per_pixel_thresholds ? g.units() * g.num_patches() : g.units());
   if (g.thresholds.size() != expected) {
-    throw std::invalid_argument("BnnProgram: stage " + std::to_string(index) +
-                                " threshold count mismatch");
+    throw std::invalid_argument(at + " threshold count mismatch");
+  }
+  // A popcount over `cols` bits lies in [0, cols]; a threshold outside
+  // [0, cols + 1] makes the unit constant in a way BN folding over finite
+  // statistics never produces (FoldThreshold clamps to this range).
+  const std::int64_t max_threshold = g.weights.cols() + 1;
+  for (const std::int32_t t : g.thresholds) {
+    if (t < 0 || t > max_threshold) {
+      throw std::invalid_argument(at + " threshold out of range");
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Compiled multi-stage binarized program: the generalization of BnnModel
-// from a dense-only classifier to an ordered list of packed stages, so
-// binarized convolutional networks (MobileNet-class) run on the same
-// XNOR-popcount substrate as the paper's dense medical classifiers.
+// Compiled multi-stage binarized program — the one compiled form every
+// execution substrate runs: an ordered list of packed stages, so binarized
+// convolutional networks (MobileNet-class) run on the same XNOR-popcount
+// substrate as the paper's dense medical classifiers.
 //
 // A BnnProgram is a chain of stages over packed {-1,+1} activations laid out
 // in CHW bit order (channel-major, then rows, then columns — exactly the
@@ -9,7 +9,7 @@
 // no-op):
 //
 //   kPackedGemm  one weight matrix executed by XNOR-popcount.
-//                kDense:      weights [units, in_bits]   (the BnnModel case)
+//                kDense:      weights [units, in_bits]
 //                kConv:       weights [units, C*kh*kw]   — each output pixel
 //                             gathers an im2col patch of the input bits and
 //                             multiplies it against every unit row
@@ -30,10 +30,9 @@
 // *per-pixel* thresholds (see FoldThresholdPadded in compile.cpp), so
 // per_pixel_thresholds is true exactly for padded conv stages.
 //
-// BnnModel remains the pure-dense special case: FromClassifier /
-// ToClassifier convert losslessly, and a program compiled from a dense
-// grammar is structurally identical to the BnnModel CompileClassifier
-// produces.
+// A dense classifier is the pure-dense special case (IsPureDense): one dense
+// GEMM stage per layer (DenseHiddenStage / DenseOutputStage), stored as the
+// byte-stable "compiled-bnn" artifact chunk.
 #pragma once
 
 #include <cstdint>
@@ -176,17 +175,8 @@ class BnnProgram {
  public:
   BnnProgram() = default;
 
-  /// Lossless lift of a dense classifier into the one-GEMM-per-layer
-  /// program (input shape {input_size, 1, 1}).
-  static BnnProgram FromClassifier(const BnnModel& model);
-
-  /// Inverse of FromClassifier; throws std::logic_error unless
-  /// IsPureDense().
-  BnnModel ToClassifier() const;
-
-  /// True when every stage is a dense GEMM — the BnnModel-expressible case
-  /// (serialized as the legacy "compiled-bnn" chunk for byte-stable dense
-  /// artifacts).
+  /// True when every stage is a dense GEMM (serialized as the legacy
+  /// "compiled-bnn" chunk for byte-stable dense artifacts).
   bool IsPureDense() const;
 
   void SetInputShape(StageShape shape) { input_shape_ = shape; }
@@ -232,8 +222,9 @@ class BnnProgram {
 
   /// Structural validation: stage chaining over shapes, geometry sanity
   /// (kernel_w <= 64 — the word-level patch gather's contract), threshold /
-  /// affine sizes, exactly one output stage and it is dense and last.
-  /// Throws std::invalid_argument on inconsistency.
+  /// affine sizes, hidden thresholds within [0, weights.cols() + 1] (the
+  /// range BN folding clamps to), exactly one output stage and it is dense
+  /// and last. Throws std::invalid_argument on inconsistency.
   void Validate() const;
 
   /// One-line stage summary, e.g.
@@ -244,6 +235,16 @@ class BnnProgram {
   StageShape input_shape_;
   std::vector<ProgramStage> stages_;
 };
+
+/// Dense hidden stage: weights [units, in_bits], one popcount threshold per
+/// unit; produces {units, 1, 1}.
+ProgramStage DenseHiddenStage(BitMatrix weights,
+                              std::vector<std::int32_t> thresholds);
+
+/// Dense output stage: weights [classes, in_bits] plus the per-class affine
+/// over the integer dot; produces {classes, 1, 1}.
+ProgramStage DenseOutputStage(BitMatrix weights, std::vector<float> scale,
+                              std::vector<float> offset);
 
 /// Builds the im2col patch matrix of one packed activation batch: row
 /// n * NumPatches + p holds the patch of sample n's output pixel p

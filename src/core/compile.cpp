@@ -71,12 +71,12 @@ std::int32_t FoldThreshold(const FoldedAffine& f, std::int64_t width,
   return static_cast<std::int32_t>(theta);
 }
 
-const nn::Dense* AsBinaryDense(const nn::Layer& layer, const char* who) {
+const nn::Dense* AsBinaryDense(const nn::Layer& layer) {
   const auto* dense = dynamic_cast<const nn::Dense*>(&layer);
   if (dense == nullptr) return nullptr;
   if (!dense->binary()) {
     throw std::invalid_argument(
-        std::string(who) + ": dense layer '" + layer.Describe() +
+        "CompileProgram: dense layer '" + layer.Describe() +
         "' is not binary; only binarized classifiers compile to RRAM");
   }
   return dense;
@@ -170,105 +170,6 @@ PackedGemmStage LowerConvStage(GemmLowering lowering, const StageGeometry& g,
 
 }  // namespace
 
-BnnModel CompileClassifier(const nn::Sequential& model,
-                           std::size_t start_layer) {
-  if (start_layer >= model.size()) {
-    throw std::invalid_argument("CompileClassifier: start_layer out of range");
-  }
-  BnnModel compiled;
-  std::size_t i = start_layer;
-
-  // Leading Flatten / Dropout / Sign layers are structural no-ops for the
-  // compiled network (input arrives packed by sign already).
-  while (i < model.size() && IsSkippableLead(model[i])) ++i;
-
-  while (i < model.size()) {
-    const nn::Dense* dense = AsBinaryDense(model[i], "CompileClassifier");
-    if (dense == nullptr) {
-      const nn::Layer& layer = model[i];
-      if (dynamic_cast<const nn::Conv2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::DepthwiseConv2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::Pool2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::GlobalAvgPool*>(&layer) != nullptr) {
-        throw std::invalid_argument(
-            "CompileClassifier: '" + layer.Describe() + "' (" + layer.Name() +
-            ") at position " + std::to_string(i) +
-            " is a convolution/pooling layer the dense-only grammar cannot "
-            "lower; compile through CompileProgram, or move classifier_start "
-            "(currently " +
-            std::to_string(start_layer) +
-            ") past the convolutional feature extractor");
-      }
-      throw std::invalid_argument(
-          "CompileClassifier: unsupported layer '" + layer.Describe() +
-          "' at position " + std::to_string(i));
-    }
-    ++i;
-    const nn::BatchNorm* bn = nullptr;
-    if (i < model.size()) {
-      bn = dynamic_cast<const nn::BatchNorm*>(&model[i]);
-      if (bn != nullptr) ++i;
-    }
-    // A Sign after (Dense, BN?) makes this a hidden layer; otherwise it is
-    // the output layer and must be last (modulo trailing dropout).
-    bool is_hidden = false;
-    if (i < model.size() &&
-        dynamic_cast<const nn::SignSte*>(&model[i]) != nullptr) {
-      is_hidden = true;
-      ++i;
-    }
-
-    const std::int64_t out = dense->out_features();
-    const std::int64_t in = dense->in_features();
-    const Tensor w_eff = dense->EffectiveWeight();
-    BitMatrix weights = BitMatrix::FromSigns(
-        std::span<const float>(w_eff.data(),
-                               static_cast<std::size_t>(w_eff.size())),
-        out, in);
-
-    if (is_hidden) {
-      BnnDenseLayer layer;
-      layer.thresholds.resize(static_cast<std::size_t>(out));
-      for (std::int64_t j = 0; j < out; ++j) {
-        bool flip = false;
-        const FoldedAffine f = FoldNeuron(*dense, bn, j);
-        layer.thresholds[static_cast<std::size_t>(j)] =
-            FoldThreshold(f, in, &flip);
-        if (flip) weights.FlipRow(j);
-      }
-      layer.weights = std::move(weights);
-      compiled.AddHidden(std::move(layer));
-      // Dropout between blocks is an inference no-op.
-      while (i < model.size() &&
-             dynamic_cast<const nn::Dropout*>(&model[i]) != nullptr) {
-        ++i;
-      }
-      continue;
-    }
-
-    BnnOutputLayer out_layer;
-    out_layer.scale.resize(static_cast<std::size_t>(out));
-    out_layer.offset.resize(static_cast<std::size_t>(out));
-    for (std::int64_t j = 0; j < out; ++j) {
-      const FoldedAffine f = FoldNeuron(*dense, bn, j);
-      out_layer.scale[static_cast<std::size_t>(j)] =
-          static_cast<float>(f.scale);
-      out_layer.offset[static_cast<std::size_t>(j)] =
-          static_cast<float>(f.offset);
-    }
-    out_layer.weights = std::move(weights);
-    compiled.SetOutput(std::move(out_layer));
-    if (i != model.size()) {
-      throw std::invalid_argument(
-          "CompileClassifier: layers after the output dense layer");
-    }
-    compiled.Validate();
-    return compiled;
-  }
-  throw std::invalid_argument(
-      "CompileClassifier: model ended without an output dense layer");
-}
-
 BnnProgram CompileProgram(const nn::Sequential& model, std::size_t start_layer,
                           StageShape input_shape) {
   if (start_layer >= model.size()) {
@@ -279,15 +180,16 @@ BnnProgram CompileProgram(const nn::Sequential& model, std::size_t start_layer,
   // compiled program (input arrives packed by sign, CHW bit order).
   while (i < model.size() && IsSkippableLead(model[i])) ++i;
 
-  if (input_shape.bits() <= 0) {
+  if (input_shape.bits() <= 0 && i < model.size()) {
     // Dense-leading grammars carry their own width; spatial grammars need
-    // the caller to say what {C, H, W} enters the classifier.
-    if (i < model.size()) {
-      if (const auto* dense = dynamic_cast<const nn::Dense*>(&model[i])) {
-        input_shape = {dense->in_features(), 1, 1};
-      }
-    }
-    if (input_shape.bits() <= 0) {
+    // the caller to say what {C, H, W} enters the classifier. Any other
+    // first layer is rejected by the walk below, which names it.
+    const nn::Layer& first = model[i];
+    if (const auto* dense = dynamic_cast<const nn::Dense*>(&first)) {
+      input_shape = {dense->in_features(), 1, 1};
+    } else if (dynamic_cast<const nn::Conv2d*>(&first) != nullptr ||
+               dynamic_cast<const nn::DepthwiseConv2d*>(&first) != nullptr ||
+               dynamic_cast<const nn::Pool2d*>(&first) != nullptr) {
       throw std::invalid_argument(
           "CompileProgram: classifier input shape required for "
           "convolutional grammars (pass the {C, H, W} entering "
@@ -356,7 +258,7 @@ BnnProgram CompileProgram(const nn::Sequential& model, std::size_t start_layer,
           "the float prefix or replace it with MaxPool + Flatten");
     }
 
-    if (const nn::Dense* dense = AsBinaryDense(layer, "CompileProgram")) {
+    if (const nn::Dense* dense = AsBinaryDense(layer)) {
       ++i;
       const nn::BatchNorm* bn = nullptr;
       if (i < model.size()) {
@@ -372,38 +274,33 @@ BnnProgram CompileProgram(const nn::Sequential& model, std::size_t start_layer,
       const std::int64_t out = dense->out_features();
       const std::int64_t in = dense->in_features();
       const Tensor w_eff = dense->EffectiveWeight();
-      ProgramStage stage;
-      stage.kind = StageKind::kPackedGemm;
-      stage.gemm.lowering = GemmLowering::kDense;
-      stage.gemm.weights = BitMatrix::FromSigns(
+      BitMatrix weights = BitMatrix::FromSigns(
           std::span<const float>(w_eff.data(),
                                  static_cast<std::size_t>(w_eff.size())),
           out, in);
       if (is_hidden) {
-        stage.gemm.thresholds.resize(static_cast<std::size_t>(out));
+        std::vector<std::int32_t> thresholds(static_cast<std::size_t>(out));
         for (std::int64_t j = 0; j < out; ++j) {
           bool flip = false;
           const FoldedAffine f = FoldNeuron(*dense, bn, j);
-          stage.gemm.thresholds[static_cast<std::size_t>(j)] =
-              FoldThreshold(f, in, &flip);
-          if (flip) stage.gemm.weights.FlipRow(j);
+          thresholds[static_cast<std::size_t>(j)] = FoldThreshold(f, in, &flip);
+          if (flip) weights.FlipRow(j);
         }
+        program.AddStage(
+            DenseHiddenStage(std::move(weights), std::move(thresholds)));
       } else {
-        stage.gemm.is_output = true;
-        stage.gemm.scale.resize(static_cast<std::size_t>(out));
-        stage.gemm.offset.resize(static_cast<std::size_t>(out));
+        std::vector<float> scale(static_cast<std::size_t>(out));
+        std::vector<float> offset(static_cast<std::size_t>(out));
         for (std::int64_t j = 0; j < out; ++j) {
           const FoldedAffine f = FoldNeuron(*dense, bn, j);
-          stage.gemm.scale[static_cast<std::size_t>(j)] =
-              static_cast<float>(f.scale);
-          stage.gemm.offset[static_cast<std::size_t>(j)] =
-              static_cast<float>(f.offset);
+          scale[static_cast<std::size_t>(j)] = static_cast<float>(f.scale);
+          offset[static_cast<std::size_t>(j)] = static_cast<float>(f.offset);
         }
+        program.AddStage(DenseOutputStage(std::move(weights), std::move(scale),
+                                          std::move(offset)));
         has_output = true;
       }
-      stage.out_shape = {out, 1, 1};
-      shape = stage.out_shape;
-      program.AddStage(std::move(stage));
+      shape = {out, 1, 1};
       continue;
     }
 
@@ -514,28 +411,6 @@ Tensor InferPrefix(const nn::Sequential& model, const Tensor& x,
     y = model[i].Infer(y);
   }
   return y;
-}
-
-double HybridAccuracy(nn::Sequential& feature_extractor, std::size_t split,
-                      const BnnModel& classifier, const nn::Dataset& data,
-                      std::int64_t batch_size) {
-  data.Validate();
-  if (data.size() == 0) return 0.0;
-  std::int64_t hits = 0;
-  for (std::int64_t start = 0; start < data.size(); start += batch_size) {
-    const std::int64_t stop = std::min(data.size(), start + batch_size);
-    std::vector<std::int64_t> idx;
-    idx.reserve(static_cast<std::size_t>(stop - start));
-    for (std::int64_t i = start; i < stop; ++i) idx.push_back(i);
-    const nn::Dataset batch = data.Subset(idx);
-    Tensor features = ForwardPrefix(feature_extractor, batch.x, split);
-    if (features.rank() > 2) features = features.Reshape({stop - start, -1});
-    const std::vector<std::int64_t> preds = classifier.PredictBatch(features);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == batch.y[i]) ++hits;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(data.size());
 }
 
 }  // namespace rrambnn::core

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "tensor/rng.h"
 
@@ -22,7 +21,7 @@ struct FaultInjectionReport {
 /// The fault-site sampler behind every error process in the library: visits
 /// each (row, col) of a rows x cols grid whose independent Bernoulli(ber)
 /// draw comes up true, in row-major order, and returns the visit count.
-/// InjectFaults flips model weight bits through it; the arch-level drift
+/// InjectFaults flips program weight bits through it; the arch-level drift
 /// simulation (arch::MappedBnn::InjectDrift) swaps 2T2R pair resistances
 /// through it — so software fault injection and physical drift share
 /// identical statistics and draw order. Throws std::invalid_argument for
@@ -34,12 +33,8 @@ std::int64_t ForEachFaultSite(
 /// Flips each weight bit of `matrix` independently with probability `ber`.
 std::int64_t InjectFaults(BitMatrix& matrix, double ber, Rng& rng);
 
-/// Applies InjectFaults to every layer of a compiled model.
-FaultInjectionReport InjectWeightFaults(BnnModel& model, double ber, Rng& rng);
-
 /// Applies InjectFaults to every GEMM stage of a compiled program, in stage
-/// order (for a pure-dense program the draw order matches the BnnModel
-/// overload bit for bit).
+/// order (for a dense classifier: each hidden layer, then the output layer).
 FaultInjectionReport InjectWeightFaults(BnnProgram& program, double ber,
                                         Rng& rng);
 

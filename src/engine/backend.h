@@ -4,11 +4,13 @@
 // extractor, batching, threading) is owned by engine::Engine.
 //
 // Implementations (see engine/backends.h):
-//   ReferenceBackend       exact bit-packed software model (core::BnnModel)
-//   RramBackend            simulated 2T2R RRAM fabric (arch::MappedBnn) with
-//                          device non-idealities and energy accounting
-//   FaultInjectionBackend  software model with i.i.d. weight-bit flips at a
-//                          configurable BER (core::fault_injection)
+//   ReferenceBackend       exact bit-packed software execution of the
+//                          compiled core::BnnProgram
+//   ShardedRramBackend     simulated 2T2R RRAM fabrics (arch::MappedBnn) with
+//                          device non-idealities and energy accounting — one
+//                          chip as "rram", several as "rram-sharded"
+//   FaultInjectionBackend  software program with i.i.d. weight-bit flips at
+//                          a configurable BER (core::fault_injection)
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,8 @@ class InferenceBackend {
  public:
   virtual ~InferenceBackend() = default;
 
-  /// Registry key of this backend ("reference", "rram", "fault").
+  /// Registry key of this backend ("reference", "rram", "rram-sharded",
+  /// "fault").
   virtual std::string name() const = 0;
 
   virtual std::int64_t input_size() const = 0;

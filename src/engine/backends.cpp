@@ -30,9 +30,6 @@ ReferenceBackend::ReferenceBackend(core::BnnProgram program)
   program_.Validate();
 }
 
-ReferenceBackend::ReferenceBackend(const core::BnnModel& model)
-    : ReferenceBackend(core::BnnProgram::FromClassifier(model)) {}
-
 std::vector<float> ReferenceBackend::Scores(const core::BitVector& x) {
   return program_.Scores(x);
 }
@@ -63,11 +60,6 @@ FaultInjectionBackend::FaultInjectionBackend(core::BnnProgram program,
   Rng rng(seed_);
   report_ = core::InjectWeightFaults(program_, ber_, rng);
 }
-
-FaultInjectionBackend::FaultInjectionBackend(const core::BnnModel& model,
-                                             double ber, std::uint64_t seed)
-    : FaultInjectionBackend(core::BnnProgram::FromClassifier(model), ber,
-                            seed) {}
 
 void FaultInjectionBackend::CheckChip(int chip) const {
   if (chip != 0) {
@@ -135,114 +127,14 @@ EnergyBreakdown FaultInjectionBackend::EnergyReport() const {
 }
 
 // ---------------------------------------------------------------------------
-// RramBackend
-// ---------------------------------------------------------------------------
-
-RramBackend::RramBackend(const core::BnnProgram& program,
-                         const arch::MapperConfig& config)
-    : golden_(program),
-      fabric_(golden_, config),
-      config_(config),
-      concurrent_readers_(fabric_.DeterministicReads()) {
-  // Build the readback planes now, while the fabric is held exclusively:
-  // the first deterministic batch would otherwise build them lazily, which
-  // mutates the fabric under what may be only a shared serving lock.
-  fabric_.WarmReadback();
-}
-
-RramBackend::RramBackend(const core::BnnModel& model,
-                         const arch::MapperConfig& config)
-    : RramBackend(core::BnnProgram::FromClassifier(model), config) {}
-
-std::vector<float> RramBackend::Scores(const core::BitVector& x) {
-  return fabric_.Scores(x);
-}
-
-std::vector<float> RramBackend::ScoresBatch(const core::BitMatrix& batch) {
-  return fabric_.ScoresBatch(batch);
-}
-
-bool RramBackend::concurrent_readers() const { return concurrent_readers_; }
-
-void RramBackend::CheckChip(int chip) const {
-  if (chip != 0) {
-    throw std::out_of_range("RramBackend: chip " + std::to_string(chip) +
-                            " out of range (1 chip)");
-  }
-}
-
-bool RramBackend::SupportsReadback() const {
-  return fabric_.DeterministicReads();
-}
-
-const core::BnnProgram& RramBackend::ChipReadback(int chip) {
-  CheckChip(chip);
-  return fabric_.ReadbackSnapshot();
-}
-
-void RramBackend::ReprogramChip(int chip, bool reseed) {
-  CheckChip(chip);
-  if (reseed) ++generation_;
-  arch::MapperConfig config = config_;
-  config.seed = ShardedRramBackend::ShardSeed(config_.seed, 0, generation_);
-  fabric_ = arch::MappedBnn(golden_, config);
-  fabric_.WarmReadback();
-}
-
-void RramBackend::SetChipServing(int chip, bool serving) {
-  CheckChip(chip);
-  (void)serving;  // single chip: there is nowhere to route to
-}
-
-bool RramBackend::chip_serving(int chip) const {
-  CheckChip(chip);
-  return true;
-}
-
-std::uint64_t RramBackend::chip_generation(int chip) const {
-  CheckChip(chip);
-  return generation_;
-}
-
-void RramBackend::InjectChipDrift(int chip, double ber, std::uint64_t seed) {
-  CheckChip(chip);
-  Rng rng(seed);
-  fabric_.InjectDrift(ber, rng);
-  fabric_.WarmReadback();  // drift reset the planes; rebuild before serving
-}
-
-std::string RramBackend::Describe() const {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "rram: simulated 2T2R fabric, %lld macro(s) of %lldx%lld, "
-                "%.3f mm2, %.1f%% utilization, pre-stress %.1e cycles",
-                static_cast<long long>(fabric_.num_macros()),
-                static_cast<long long>(config_.macro_rows),
-                static_cast<long long>(config_.macro_cols), fabric_.AreaMm2(),
-                100.0 * fabric_.Utilization(),
-                static_cast<double>(config_.pre_stress_cycles));
-  return buf;
-}
-
-EnergyBreakdown RramBackend::EnergyReport() const {
-  EnergyBreakdown report;
-  report.available = true;
-  report.programming = fabric_.ProgrammingCost();
-  report.per_inference = fabric_.InferenceCost();
-  report.area_mm2 = fabric_.AreaMm2();
-  report.num_macros = fabric_.num_macros();
-  return report;
-}
-
-// ---------------------------------------------------------------------------
 // ShardedRramBackend
 // ---------------------------------------------------------------------------
 
 std::uint64_t ShardedRramBackend::ShardSeed(std::uint64_t base_seed,
                                             int shard,
                                             std::uint64_t generation) {
-  // Chip 0 at generation 0 keeps the base seed so a 1-shard deployment
-  // reproduces the single-fabric RramBackend bit for bit, and the per-chip
+  // Chip 0 at generation 0 keeps the base seed, so chip 0 of every fleet is
+  // programmed exactly like the one-chip "rram" fabric, and the per-chip
   // XOR keeps generation-0 seeds stable across releases (artifact digests
   // depend on them). Reseed generations (healing onto a "physically new"
   // fabric) mix through splitmix64 so every generation gets an independent
@@ -260,39 +152,36 @@ std::uint64_t ShardedRramBackend::ShardSeed(std::uint64_t base_seed,
 
 ShardedRramBackend::ShardedRramBackend(const core::BnnProgram& program,
                                        const arch::MapperConfig& config,
-                                       int num_shards)
-    : golden_(program),
+                                       int num_shards, std::string name)
+    : name_(std::move(name)),
+      golden_(program),
       config_(config),
       // == MappedBnn::DeterministicReads() for every chip: the shards all
       // share this device config, and reprogramming only changes seeds.
       concurrent_readers_(config.device.sense_offset_sigma == 0.0) {
   if (num_shards < 1) {
-    throw std::invalid_argument(
-        "ShardedRramBackend: need >= 1 shard, got " +
-        std::to_string(num_shards));
+    throw std::invalid_argument(name_ + ": need >= 1 shard, got " +
+                                std::to_string(num_shards));
   }
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     arch::MapperConfig chip = config;
     chip.seed = ShardSeed(config.seed, s);
     shards_.push_back(std::make_unique<arch::MappedBnn>(golden_, chip));
-    shards_.back()->WarmReadback();  // see RramBackend: no lazy build later
+    // Build the readback planes now, while the fabric is held exclusively:
+    // the first deterministic batch would otherwise build them lazily, which
+    // mutates the fabric under what may be only a shared serving lock.
+    shards_.back()->WarmReadback();
   }
   serving_.assign(shards_.size(), 1);
   generations_.assign(shards_.size(), 0);
 }
 
-ShardedRramBackend::ShardedRramBackend(const core::BnnModel& model,
-                                       const arch::MapperConfig& config,
-                                       int num_shards)
-    : ShardedRramBackend(core::BnnProgram::FromClassifier(model), config,
-                         num_shards) {}
-
 void ShardedRramBackend::CheckChip(int chip) const {
   if (chip < 0 || chip >= num_shards()) {
-    throw std::out_of_range("ShardedRramBackend: chip " +
-                            std::to_string(chip) + " out of range (" +
-                            std::to_string(num_shards()) + " chips)");
+    throw std::out_of_range(name_ + ": chip " + std::to_string(chip) +
+                            " out of range (" + std::to_string(num_shards()) +
+                            " chips)");
   }
 }
 
@@ -357,8 +246,7 @@ std::vector<float> ShardedRramBackend::Scores(const core::BitVector& x) {
   for (std::size_t chip = 0; chip < shards_.size(); ++chip) {
     if (serving_[chip] != 0) return shards_[chip]->Scores(x);
   }
-  throw std::runtime_error(
-      "rram-sharded: every chip is routed out of serving");
+  throw std::runtime_error(name_ + ": every chip is routed out of serving");
 }
 
 void ShardedRramBackend::ForEachShard(
@@ -373,8 +261,7 @@ void ShardedRramBackend::ForEachShard(
     if (serving_[chip] != 0) active.push_back(chip);
   }
   if (active.empty()) {
-    throw std::runtime_error(
-        "rram-sharded: every chip is routed out of serving");
+    throw std::runtime_error(name_ + ": every chip is routed out of serving");
   }
   const std::int64_t s = static_cast<std::int64_t>(active.size());
   const std::int64_t chunk = (rows + s - 1) / s;
@@ -415,7 +302,7 @@ void ShardedRramBackend::ForEachShard(
 std::vector<float> ShardedRramBackend::ScoresBatch(
     const core::BitMatrix& batch) {
   if (batch.cols() != input_size()) {
-    throw std::invalid_argument("ShardedRramBackend::ScoresBatch: width " +
+    throw std::invalid_argument(name_ + ": batch width " +
                                 std::to_string(batch.cols()) +
                                 " != input size " +
                                 std::to_string(input_size()));
@@ -434,9 +321,9 @@ std::vector<float> ShardedRramBackend::ScoresBatch(
 std::string ShardedRramBackend::Describe() const {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
-                "rram-sharded: %d independently programmed 2T2R fabric(s), "
+                "%s: %d independently programmed 2T2R fabric(s), "
                 "%lld macro(s) each of %lldx%lld, %.3f mm2 total, %s reads",
-                num_shards(),
+                name_.c_str(), num_shards(),
                 static_cast<long long>(shards_.front()->num_macros()),
                 static_cast<long long>(config_.macro_rows),
                 static_cast<long long>(config_.macro_cols),

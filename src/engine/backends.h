@@ -1,9 +1,9 @@
-// The three built-in execution backends (see engine/backend.h) and the
+// The built-in execution backend classes (see engine/backend.h) and the
 // parameter bundle the registry hands every factory. Every backend executes
 // a compiled core::BnnProgram — dense classifiers and im2col-lowered conv
-// networks run through the same substrates; the BnnModel constructors are
-// conveniences that lift the dense special case via
-// core::BnnProgram::FromClassifier.
+// networks run through the same substrates. Three classes serve the four
+// registered names: "reference", "fault", and one RRAM class behind both
+// "rram" (one chip) and "rram-sharded".
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "arch/bnn_mapper.h"
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "core/fault_injection.h"
 #include "engine/backend.h"
@@ -25,7 +24,7 @@ namespace rrambnn::engine {
 /// reads the fields it cares about and ignores the rest.
 struct BackendSpec {
   /// RRAM mapping geometry, device statistics, energy calibration and
-  /// pre-deployment endurance stress (RramBackend, ShardedRramBackend).
+  /// pre-deployment endurance stress (ShardedRramBackend).
   arch::MapperConfig mapper;
   /// Weight bit-error rate injected once at deployment
   /// (FaultInjectionBackend).
@@ -45,7 +44,6 @@ struct BackendSpec {
 class ReferenceBackend : public InferenceBackend {
  public:
   explicit ReferenceBackend(core::BnnProgram program);
-  explicit ReferenceBackend(const core::BnnModel& model);
 
   std::string name() const override { return "reference"; }
   std::int64_t input_size() const override { return program_.input_size(); }
@@ -76,8 +74,6 @@ class FaultInjectionBackend : public InferenceBackend,
                               public health::BackendHealthAdapter {
  public:
   FaultInjectionBackend(core::BnnProgram program, double ber,
-                        std::uint64_t seed);
-  FaultInjectionBackend(const core::BnnModel& model, double ber,
                         std::uint64_t seed);
 
   std::string name() const override { return "fault"; }
@@ -119,73 +115,19 @@ class FaultInjectionBackend : public InferenceBackend,
   core::FaultInjectionReport report_;
 };
 
-/// Inference through the simulated 2T2R RRAM fabric of Fig. 5, with device
-/// non-idealities and full energy/area accounting. The simulated chip is a
-/// single stateful physical resource (per-read sense-offset draws advance
-/// device RNG state), so concurrent inference is not supported; Engine
-/// serializes rows through it regardless of its thread count.
-class RramBackend : public InferenceBackend,
-                    public health::BackendHealthAdapter {
- public:
-  RramBackend(const core::BnnProgram& program,
-              const arch::MapperConfig& config);
-  RramBackend(const core::BnnModel& model, const arch::MapperConfig& config);
-
-  std::string name() const override { return "rram"; }
-  std::int64_t input_size() const override { return fabric_.input_size(); }
-  std::int64_t num_classes() const override { return fabric_.num_classes(); }
-  std::vector<float> Scores(const core::BitVector& x) override;
-  /// With deterministic senses the batch is served through the fabric's
-  /// packed readback snapshot (bit-plane GEMM, locals only); stochastic
-  /// fabrics fall back to the per-row transactional path.
-  std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
-  std::string Describe() const override;
-  EnergyBreakdown EnergyReport() const override;
-  /// True for deterministic senses: the batch path reads the eagerly built
-  /// readback planes and touches no per-call fabric state. A stochastic
-  /// fabric advances device RNG on every read and stays exclusive.
-  bool concurrent_readers() const override;
-  health::BackendHealthAdapter* health_adapter() override { return this; }
-
-  // health::BackendHealthAdapter (the one physical fabric):
-  int num_chips() const override { return 1; }
-  bool SupportsReadback() const override;
-  const core::BnnProgram& ChipReadback(int chip) override;
-  /// Rebuilds the fabric from the golden program; `reseed` false reuses the
-  /// original mapper seed (bit-identical generation-0 fabric).
-  void ReprogramChip(int chip, bool reseed) override;
-  /// Single chip: there is nowhere to route to, so the flag is ignored.
-  void SetChipServing(int chip, bool serving) override;
-  bool chip_serving(int chip) const override;
-  std::uint64_t chip_generation(int chip) const override;
-  void InjectChipDrift(int chip, double ber, std::uint64_t seed) override;
-
-  /// The underlying mapped fabric, for aging/refresh experiments.
-  arch::MappedBnn& fabric() { return fabric_; }
-  const arch::MappedBnn& fabric() const { return fabric_; }
-
- private:
-  void CheckChip(int chip) const;
-
-  core::BnnProgram golden_;  // healing source; must precede fabric_
-  arch::MappedBnn fabric_;
-  arch::MapperConfig config_;
-  std::uint64_t generation_ = 0;
-  /// Cached at construction: concurrent_readers() is read lock-free by the
-  /// serving layer to pick its lock mode, while ReprogramChip (exclusive)
-  /// replaces fabric_ — the capability must not dereference live fabric
-  /// state. Determinism is a device-corner property and never changes.
-  const bool concurrent_readers_;
-};
-
-/// A fleet of independently programmed RRAM fabrics serving one program —
-/// the multi-macro parallelism of Yin et al.'s monolithic chip lifted to
-/// chip level. Every shard is a full MappedBnn programmed under its own
-/// programming-noise seed (derived from the base seed; chip 0 reproduces the
-/// single-fabric RramBackend exactly), so batch rows can be sharded across
-/// chips concurrently: contiguous row ranges, one worker thread per chip.
-/// With deterministic senses each chip additionally serves its shard through
-/// its packed readback snapshot and the bit-plane GEMM.
+/// Inference through a fleet of independently programmed, simulated 2T2R
+/// RRAM fabrics (Fig. 5) serving one program, with device non-idealities
+/// and full energy/area accounting — the multi-macro parallelism of Yin et
+/// al.'s monolithic chip lifted to chip level. This is the one RRAM backend
+/// class: the "rram" registration is a one-chip fleet, "rram-sharded" a
+/// BackendSpec::rram_shards-chip one. Every shard is a full MappedBnn
+/// programmed under its own programming-noise seed derived from the base
+/// seed (chip 0 keeps the base seed itself, see ShardSeed), so batch rows
+/// can be sharded across chips concurrently: contiguous row ranges, one
+/// worker thread per chip. With deterministic senses each chip serves its
+/// shard through its packed readback snapshot and the bit-plane GEMM;
+/// stochastic fabrics advance device RNG state on every read and serve row
+/// by row.
 ///
 /// Accuracy semantics: chips differ in their programming-noise draws, so at
 /// nonzero device error rates a row's scores depend on which chip served it
@@ -195,12 +137,13 @@ class RramBackend : public InferenceBackend,
 class ShardedRramBackend : public InferenceBackend,
                            public health::BackendHealthAdapter {
  public:
+  /// `name` is the registry key the backend answers to: "rram" for the
+  /// one-chip registration, "rram-sharded" for the fleet.
   ShardedRramBackend(const core::BnnProgram& program,
-                     const arch::MapperConfig& config, int num_shards);
-  ShardedRramBackend(const core::BnnModel& model,
-                     const arch::MapperConfig& config, int num_shards);
+                     const arch::MapperConfig& config, int num_shards,
+                     std::string name = "rram-sharded");
 
-  std::string name() const override { return "rram-sharded"; }
+  std::string name() const override { return name_; }
   std::int64_t input_size() const override;
   std::int64_t num_classes() const override;
   /// Single-row inference is served by the first serving chip.
@@ -245,8 +188,8 @@ class ShardedRramBackend : public InferenceBackend,
   /// derived from the base mapper seed. The derivation is the reason a
   /// single chip can be reprogrammed reproducibly: every (chip, generation)
   /// pair maps to its own fixed seed, so rebuilding chip k never perturbs
-  /// chip j, and generation 0 of chip 0 is the base seed itself (a 1-shard
-  /// deployment reproduces the single-fabric RramBackend bit for bit).
+  /// chip j, and generation 0 of chip 0 is the base seed itself (chip 0 of
+  /// every fleet is programmed exactly like the one-chip "rram" fabric).
   static std::uint64_t ShardSeed(std::uint64_t base_seed, int shard,
                                  std::uint64_t generation = 0);
 
@@ -261,13 +204,17 @@ class ShardedRramBackend : public InferenceBackend,
       const std::function<void(std::size_t, std::int64_t, std::int64_t)>&
           serve);
 
+  const std::string name_;
   core::BnnProgram golden_;  // healing source
   std::vector<std::unique_ptr<arch::MappedBnn>> shards_;
   std::vector<std::uint8_t> serving_;       // routing mask, 1 = serving
   std::vector<std::uint64_t> generations_;  // reseed generation per chip
   arch::MapperConfig config_;
-  /// Cached at construction: read lock-free by the serving layer while
-  /// ReprogramChip (exclusive) swaps shard pointers — see RramBackend.
+  /// Cached at construction: concurrent_readers() is read lock-free by the
+  /// serving layer to pick its lock mode, while ReprogramChip (exclusive)
+  /// swaps shard pointers — the capability must not dereference live
+  /// fabric state. Determinism is a device-corner property and never
+  /// changes.
   const bool concurrent_readers_;
 };
 

@@ -4,7 +4,7 @@
 //
 // An Engine owns a (partially) binarized network, compiles its classifier
 // into XNOR-popcount form (BN folded into integer thresholds), deploys the
-// compiled model onto a pluggable execution backend selected by name from
+// compiled program onto a pluggable execution backend selected by name from
 // the BackendRegistry, and serves batched predictions, sharding feature rows
 // across worker threads when the backend allows concurrent inference.
 //
@@ -119,7 +119,7 @@ class Engine {
   /// train-once / serve-anywhere lifecycle. The first overload serves under
   /// the configuration stored in the artifact; the second replaces it with
   /// `config` (e.g. a server's thread count or backend choice) while keeping
-  /// the stored network and compiled model. Throws std::runtime_error for
+  /// the stored network and compiled program. Throws std::runtime_error for
   /// missing/corrupt/version-mismatched files. The overloads taking
   /// io::LoadArtifactOptions control the zero-copy path: a v2 artifact is
   /// mmap-ed by default (the model's bulk data stays shared page cache);
@@ -157,7 +157,8 @@ class Engine {
   void SaveArtifact(const std::string& path,
                     const io::ArtifactWriteOptions& options = {});
 
-  /// Instantiates the configured (or named) backend for the compiled model.
+  /// Instantiates the configured (or named) backend for the compiled
+  /// program.
   /// Compiles first if needed. Returns the live backend.
   InferenceBackend& Deploy();
   InferenceBackend& Deploy(const std::string& backend_name);
@@ -199,11 +200,6 @@ class Engine {
   /// The compiled multi-stage program. Throws std::logic_error before
   /// Compile().
   const core::BnnProgram& compiled_program() const;
-  /// Dense-classifier view of the compiled program (lazily materialized and
-  /// cached). Throws std::logic_error before Compile() and for programs with
-  /// conv/pool stages, which have no BnnModel equivalent — use
-  /// compiled_program() there.
-  const core::BnnModel& compiled_model() const;
   InferenceBackend& backend() const;
 
   /// True when the deployed backend exposes a health surface (every
@@ -268,8 +264,6 @@ class Engine {
   std::vector<std::int64_t> sample_shape_;
   bool trained_ = false;
   std::unique_ptr<core::BnnProgram> compiled_;
-  /// compiled_model() compatibility cache (ToClassifier of *compiled_).
-  mutable std::unique_ptr<core::BnnModel> compiled_dense_;
   std::unique_ptr<InferenceBackend> backend_;
   std::unique_ptr<health::HealthManager> health_;  // scoped to backend_
   io::ArtifactLoadInfo artifact_load_info_;

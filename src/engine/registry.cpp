@@ -24,9 +24,12 @@ BackendRegistry::BackendRegistry() {
            [](const core::BnnProgram& program, const BackendSpec& /*spec*/) {
              return std::make_unique<ReferenceBackend>(program);
            });
+  // "rram" is the one-chip fleet of the same backend: it answers to its own
+  // name and ignores BackendSpec::rram_shards.
   Register("rram",
            [](const core::BnnProgram& program, const BackendSpec& spec) {
-             return std::make_unique<RramBackend>(program, spec.mapper);
+             return std::make_unique<ShardedRramBackend>(
+                 program, spec.mapper, /*num_shards=*/1, "rram");
            });
   Register("rram-sharded",
            [](const core::BnnProgram& program, const BackendSpec& spec) {
@@ -90,18 +93,6 @@ std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
                                               const core::BnnProgram& program,
                                               const BackendSpec& spec) {
   return MakeBackend(ToString(kind), program, spec);
-}
-
-std::unique_ptr<InferenceBackend> MakeBackend(const std::string& name,
-                                              const core::BnnModel& model,
-                                              const BackendSpec& spec) {
-  return MakeBackend(name, core::BnnProgram::FromClassifier(model), spec);
-}
-
-std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
-                                              const core::BnnModel& model,
-                                              const BackendSpec& spec) {
-  return MakeBackend(ToString(kind), model, spec);
 }
 
 }  // namespace rrambnn::engine

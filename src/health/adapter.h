@@ -45,8 +45,8 @@ class BackendHealthAdapter {
   virtual void ReprogramChip(int chip, bool reseed) = 0;
 
   /// Routing hook: a chip marked not-serving receives no batch rows until
-  /// marked serving again. Single-chip backends ignore the flag (there is
-  /// nowhere to route to).
+  /// marked serving again. The health manager never routes out the last
+  /// serving chip; the single software chip of "fault" ignores the flag.
   virtual void SetChipServing(int chip, bool serving) = 0;
   virtual bool chip_serving(int chip) const = 0;
 

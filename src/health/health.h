@@ -4,7 +4,7 @@
 // The paper's serving story assumes every RRAM fabric keeps the bit-error
 // rate it shipped with; a fleet of always-on monitors cannot. This module
 // turns a chip's readback (adapter.h) into a number — diff the sensed
-// weight planes against the golden compiled model, fold successive raw
+// weight planes against the golden compiled program, fold successive raw
 // rates into an EWMA — and classifies each chip against configurable
 // thresholds chosen from the paper's tolerance curve: `degraded` begins
 // where accuracy measurably bends (around 1e-3..1e-2 BER for the bench
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 
 namespace rrambnn::health {
@@ -66,15 +65,11 @@ struct BerEstimate {
   }
 };
 
-/// Bit-exact diff of the weight planes of `readback` against `golden`
-/// (hidden layers then output layer). Throws std::invalid_argument when the
-/// two models' plane geometries differ — a readback can disagree bit-wise
-/// with the golden model, never structurally.
-BerEstimate DiffBitErrors(const core::BnnModel& golden,
-                          const core::BnnModel& readback);
-
-/// Same diff over the GEMM-stage weight planes of two compiled programs, in
-/// stage order (pooling / reshape / sign stages store no bits).
+/// Bit-exact diff of the GEMM-stage weight planes of `readback` against
+/// `golden`, in stage order (pooling / reshape / sign stages store no bits).
+/// Throws std::invalid_argument when the two programs' plane geometries
+/// differ — a readback can disagree bit-wise with the golden program, never
+/// structurally.
 BerEstimate DiffBitErrors(const core::BnnProgram& golden,
                           const core::BnnProgram& readback);
 

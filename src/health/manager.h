@@ -3,7 +3,7 @@
 //   estimate ──> classify ──> (route around) ──> reprogram ──> verify
 //
 // Each CheckNow() sweep reads every chip back through its adapter, diffs the
-// sensed weight planes against the golden compiled model (health.h), folds
+// sensed weight planes against the golden compiled program (health.h), folds
 // the raw rate into the chip's EWMA, classifies it, and — under the policy —
 // routes sick chips out of serving, reprograms chips that need healing, and
 // verifies the heal with a second readback before routing the chip back in.

@@ -220,14 +220,21 @@ core::BitMatrix LoadBitMatrix(ByteReader& r) {
   }
 }
 
-void SaveBnnModel(const core::BnnModel& model, ByteWriter& w) {
-  w.WriteU64(model.num_hidden());
-  for (const core::BnnDenseLayer& layer : model.hidden()) {
-    SaveBitMatrix(layer.weights, w);
-    w.WriteU64(layer.thresholds.size());
-    for (const std::int32_t t : layer.thresholds) w.WriteI32(t);
+void SaveDenseProgram(const core::BnnProgram& program, ByteWriter& w) {
+  const std::vector<core::ProgramStage>& stages = program.stages();
+  if (!program.IsPureDense() || stages.empty() ||
+      !stages.back().gemm.is_output) {
+    throw std::logic_error(
+        "SaveDenseProgram: not a pure dense classifier program");
   }
-  const core::BnnOutputLayer& out = model.output();
+  w.WriteU64(stages.size() - 1);
+  for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
+    const core::PackedGemmStage& hidden = stages[i].gemm;
+    SaveBitMatrix(hidden.weights, w);
+    w.WriteU64(hidden.thresholds.size());
+    for (const std::int32_t t : hidden.thresholds) w.WriteI32(t);
+  }
+  const core::PackedGemmStage& out = stages.back().gemm;
   SaveBitMatrix(out.weights, w);
   w.WriteU64(out.scale.size());
   for (const float s : out.scale) w.WriteF32(s);
@@ -235,40 +242,41 @@ void SaveBnnModel(const core::BnnModel& model, ByteWriter& w) {
   for (const float o : out.offset) w.WriteF32(o);
 }
 
-core::BnnModel LoadBnnModel(ByteReader& r) {
-  core::BnnModel model;
+core::BnnProgram LoadDenseProgram(ByteReader& r) {
+  core::BnnProgram program;
+  // The stage count is untrusted: no reserve. Each stage still has to be
+  // read out of `r`, so a crafted count runs out of payload instead.
   const std::uint64_t num_hidden = r.ReadU64();
   for (std::uint64_t i = 0; i < num_hidden; ++i) {
-    core::BnnDenseLayer layer;
-    layer.weights = LoadBitMatrix(r);
+    core::BitMatrix weights = LoadBitMatrix(r);
     const std::uint64_t num_thresholds = r.ReadU64();
     CheckCountFitsPayload(r, num_thresholds, sizeof(std::int32_t),
                           "threshold");
-    layer.thresholds.resize(static_cast<std::size_t>(num_thresholds));
-    for (auto& t : layer.thresholds) t = r.ReadI32();
-    try {
-      model.AddHidden(std::move(layer));
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string("artifact corrupt: ") + e.what());
-    }
+    std::vector<std::int32_t> thresholds(
+        static_cast<std::size_t>(num_thresholds));
+    for (auto& t : thresholds) t = r.ReadI32();
+    program.AddStage(
+        core::DenseHiddenStage(std::move(weights), std::move(thresholds)));
   }
-  core::BnnOutputLayer out;
-  out.weights = LoadBitMatrix(r);
+  core::BitMatrix weights = LoadBitMatrix(r);
   const std::uint64_t num_scale = r.ReadU64();
   CheckCountFitsPayload(r, num_scale, sizeof(float), "output scale");
-  out.scale.resize(static_cast<std::size_t>(num_scale));
-  for (auto& s : out.scale) s = r.ReadF32();
+  std::vector<float> scale(static_cast<std::size_t>(num_scale));
+  for (auto& s : scale) s = r.ReadF32();
   const std::uint64_t num_offset = r.ReadU64();
   CheckCountFitsPayload(r, num_offset, sizeof(float), "output offset");
-  out.offset.resize(static_cast<std::size_t>(num_offset));
-  for (auto& o : out.offset) o = r.ReadF32();
+  std::vector<float> offset(static_cast<std::size_t>(num_offset));
+  for (auto& o : offset) o = r.ReadF32();
+  program.AddStage(core::DenseOutputStage(std::move(weights), std::move(scale),
+                                          std::move(offset)));
+  program.SetInputShape(
+      {program.stages().front().gemm.weights.cols(), 1, 1});
   try {
-    model.SetOutput(std::move(out));
-    model.Validate();
+    program.Validate();
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("artifact corrupt: ") + e.what());
   }
-  return model;
+  return program;
 }
 
 namespace {

@@ -1,11 +1,11 @@
 // Binary serializers for the numeric value types of an artifact: dense
-// float tensors, packed bit matrices, and the compiled core::BnnModel.
+// float tensors, packed bit matrices, and compiled programs
+// (core::BnnProgram).
 // Float data is stored as raw IEEE-754 bits and bit matrices as their packed
 // 64-bit words, so a round trip is bit-identical by construction — the
 // property the artifact lifecycle (train once, serve anywhere) rests on.
 #pragma once
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "io/serde.h"
 #include "tensor/tensor.h"
@@ -18,11 +18,15 @@ Tensor LoadTensor(ByteReader& r);
 void SaveBitMatrix(const core::BitMatrix& m, ByteWriter& w);
 core::BitMatrix LoadBitMatrix(ByteReader& r);
 
-/// The whole compiled classifier: hidden layers (weights + thresholds) and
-/// the output layer (weights + per-class affine). LoadBnnModel validates the
-/// result (layer chaining, threshold ranges) before returning it.
-void SaveBnnModel(const core::BnnModel& model, ByteWriter& w);
-core::BnnModel LoadBnnModel(ByteReader& r);
+/// A pure-dense program in the byte-stable "compiled-bnn" layout:
+///   u64 hidden-stage count; per hidden stage the weight bit matrix, then
+///   u64 threshold count + i32 thresholds; then the output stage's weight
+///   bit matrix, u64 count + f32 scales, u64 count + f32 offsets.
+/// SaveDenseProgram throws std::logic_error unless the program IsPureDense()
+/// and ends in its output stage. LoadDenseProgram validates the result
+/// (stage chaining, threshold counts and ranges) before returning it.
+void SaveDenseProgram(const core::BnnProgram& program, ByteWriter& w);
+core::BnnProgram LoadDenseProgram(ByteReader& r);
 
 /// The compiled multi-stage program: input shape plus the ordered stage
 /// list (per-stage kind/lowering flags, spatial geometry, packed weight

@@ -56,7 +56,7 @@ TEST(Compile, BitExactAgainstFloatEval) {
   const std::int64_t in = 37, hidden = 19, classes = 3;
   nn::Sequential net = MakeBinaryClassifier(in, hidden, classes, rng);
   Warm(net, in, rng);
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
   compiled.Validate();
 
   Tensor x({64, in});
@@ -80,7 +80,8 @@ TEST(Compile, HiddenActivationsMatchExactly) {
   const std::int64_t in = 24, hidden = 16;
   nn::Sequential net = MakeBinaryClassifier(in, hidden, 2, rng);
   Warm(net, in, rng);
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
+  const PackedGemmStage& stage = *compiled.GemmStages()[0];
 
   for (int trial = 0; trial < 50; ++trial) {
     Tensor x({1, in});
@@ -91,9 +92,11 @@ TEST(Compile, HiddenActivationsMatchExactly) {
     // Compiled path.
     const BitVector xb = BitVector::FromSigns(
         std::span<const float>(x.data(), static_cast<std::size_t>(in)));
-    const BitVector hb = compiled.hidden()[0].Forward(xb);
     for (std::int64_t j = 0; j < hidden; ++j) {
-      EXPECT_EQ(hb.Get(j), h[j] >= 0 ? 1 : -1)
+      const std::int64_t pop = stage.weights.RowXnorPopcount(j, xb);
+      const int bit =
+          pop >= stage.thresholds[static_cast<std::size_t>(j)] ? 1 : -1;
+      EXPECT_EQ(bit, h[j] >= 0 ? 1 : -1)
           << "trial " << trial << " unit " << j;
     }
   }
@@ -109,7 +112,7 @@ TEST(Compile, WithoutBatchNormUsesBiasThreshold) {
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
   d1.bias().value = Tensor::FromList({0.5f, -0.5f, 3.0f, 0.0f});
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
   Tensor x({20, 8});
   rng.FillNormal(x, 0.0f, 1.0f);
   const auto preds = compiled.PredictBatch(x);
@@ -136,8 +139,10 @@ TEST(Compile, DropoutAndFlattenAreTransparent) {
   net.Emplace<nn::Dropout>(0.9f, rng);
   net.Emplace<nn::Dense>(std::int64_t{6}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
-  const BnnModel compiled = CompileClassifier(net, 0);
-  EXPECT_EQ(compiled.num_hidden(), 1u);
+  const BnnProgram compiled = CompileProgram(net, 0);
+  // Leading Flatten/Sign/Dropout and the inner Dropout leave no stage.
+  EXPECT_EQ(compiled.num_stages(), 2u);
+  EXPECT_TRUE(compiled.IsPureDense());
   EXPECT_EQ(compiled.input_size(), 12);
 }
 
@@ -145,7 +150,7 @@ TEST(Compile, RejectsNonBinaryDense) {
   Rng rng(5);
   nn::Sequential net;
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng);
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
 }
 
 TEST(Compile, RejectsUnsupportedLayer) {
@@ -154,18 +159,18 @@ TEST(Compile, RejectsUnsupportedLayer) {
   net.Emplace<nn::Relu>();
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
 }
 
 /// Compiles and returns the rejection message, failing if nothing throws.
 std::string RejectionMessage(const nn::Sequential& net,
                              std::size_t start_layer = 0) {
   try {
-    (void)CompileClassifier(net, start_layer);
+    (void)CompileProgram(net, start_layer);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
-  ADD_FAILURE() << "CompileClassifier accepted an unsupported model";
+  ADD_FAILURE() << "CompileProgram accepted an unsupported model";
   return "";
 }
 
@@ -201,7 +206,7 @@ TEST(Compile, RejectsPoolInsideClassifier) {
                           std::int64_t{1});
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
 }
 
 TEST(Compile, RejectsBatchNormBeforeAnyDense) {
@@ -255,8 +260,8 @@ TEST(Compile, RejectsModelWithoutOutput) {
   Rng rng(7);
   nn::Sequential net;
   net.Emplace<nn::SignSte>();
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
-  EXPECT_THROW(CompileClassifier(net, 5), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 5), std::invalid_argument);
 }
 
 TEST(ForwardPrefix, RunsExactlyTheRequestedLayers) {

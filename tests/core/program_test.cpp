@@ -345,8 +345,9 @@ TEST(Program, NanAndNegativeZeroRowsFollowSignConvention) {
   }
 }
 
-/// A dense grammar compiles to the pure-dense one-GEMM-per-layer program:
-/// the BnnModel special case, score-identical to CompileClassifier.
+/// A dense grammar compiles to the pure-dense one-GEMM-per-layer program,
+/// bit-exact against float eval and lossless through its "compiled-bnn"
+/// serde.
 TEST(Program, DenseGrammarIsPureDenseSpecialCase) {
   Rng rng(3);
   nn::Sequential net;
@@ -378,14 +379,34 @@ TEST(Program, DenseGrammarIsPureDenseSpecialCase) {
 
   const BnnProgram program = CompileProgram(net, 0);
   EXPECT_TRUE(program.IsPureDense());
-  const BnnModel dense = CompileClassifier(net, 0);
+  EXPECT_EQ(program.num_stages(), 2u);
 
   Tensor x({32, 20});
   rng.FillNormal(x, 0.0f, 1.0f);
-  EXPECT_EQ(program.PredictBatch(x), dense.PredictBatch(x));
-  // Round trip through the dense view is lossless.
-  const BnnProgram lifted = BnnProgram::FromClassifier(program.ToClassifier());
-  EXPECT_EQ(lifted.PredictBatch(x), program.PredictBatch(x));
+  EXPECT_EQ(program.PredictBatch(x), ArgmaxRows(net.Infer(x)));
+  // Round trip through the dense serde is lossless.
+  io::ByteWriter w;
+  io::SaveDenseProgram(program, w);
+  io::ByteReader r(w.bytes(), "program_test");
+  const BnnProgram loaded = io::LoadDenseProgram(r);
+  EXPECT_EQ(loaded.Describe(), program.Describe());
+  EXPECT_EQ(loaded.PredictBatch(x), program.PredictBatch(x));
+}
+
+/// A window taller than its (padded) input is rejected even when the output
+/// extent formula truncates to one row: (1 - 2) / 2 + 1 == 1 in C++.
+TEST(Program, ValidateRejectsKernelLargerThanInput) {
+  BnnProgram program;
+  program.SetInputShape({4, 1, 1});
+  ProgramStage pool;
+  pool.kind = StageKind::kPool;
+  pool.pool.geom = {4, 1, 1, /*kernel_h=*/2, 1, /*stride_h=*/2, 1, 0, 0};
+  ASSERT_EQ(pool.pool.geom.OutH(), 1);
+  pool.out_shape = {4, 1, 1};
+  program.AddStage(std::move(pool));
+  program.AddStage(DenseOutputStage(BitMatrix(2, 4), {1.0f, 1.0f},
+                                    {0.0f, 0.0f}));
+  EXPECT_THROW(program.Validate(), std::invalid_argument);
 }
 
 /// Serialization round trip of a multi-stage program (the

@@ -123,7 +123,7 @@ TEST(Engine, LifecycleOrderingEnforced) {
   EXPECT_FALSE(eng.trained());
   EXPECT_THROW(eng.Compile(), std::logic_error);
   EXPECT_THROW((void)eng.net(), std::logic_error);
-  EXPECT_THROW((void)eng.compiled_model(), std::logic_error);
+  EXPECT_THROW((void)eng.compiled_program(), std::logic_error);
   EXPECT_THROW((void)eng.backend(), std::logic_error);
   EXPECT_THROW((void)eng.Predict(Tensor({1, kIn})), std::logic_error);
 }
@@ -292,7 +292,7 @@ TEST(Engine, EmptyRowSliceServesAsEmptyBatch) {
   EXPECT_TRUE(eng.backend().ScoresBatch(empty).empty());
 }
 
-TEST(Engine, RramBackendSerializedButThreadCountStillHarmless) {
+TEST(Engine, RramSerializedButThreadCountStillHarmless) {
   Rng rng(6);
   const nn::Dataset data = RandomData(30, rng);
   rram::DeviceParams ideal;

@@ -49,16 +49,34 @@ TrainedEcg TrainSmallEcgBinClassifier() {
   return out;
 }
 
+/// Classifier-input feature rows: the float prefix [0, classifier_start).
+Tensor Features(TrainedEcg& t) {
+  Tensor features = core::ForwardPrefix(t.built.net, t.val.x,
+                                        t.built.classifier_start);
+  if (features.rank() > 2) features = features.Reshape({t.val.size(), -1});
+  return features;
+}
+
+/// Validation accuracy of the hybrid pipeline: float feature prefix, then
+/// the compiled binary classifier.
+double PipelineAccuracy(TrainedEcg& t, const core::BnnProgram& classifier) {
+  const std::vector<std::int64_t> preds = classifier.PredictBatch(Features(t));
+  std::int64_t hits = 0;
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (preds[i] == t.val.y[i]) ++hits;
+  }
+  return static_cast<double>(hits) / static_cast<double>(t.val.size());
+}
+
 TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
   const double nn_acc = nn::Evaluate(t.built.net, t.val);
   EXPECT_GT(nn_acc, 0.7) << "training failed to learn the task";
 
   // Compile and check the hybrid path reproduces the float-eval accuracy.
-  const core::BnnModel compiled =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
-  const double hybrid_acc = core::HybridAccuracy(
-      t.built.net, t.built.classifier_start, compiled, t.val);
+  const core::BnnProgram compiled =
+      core::CompileProgram(t.built.net, t.built.classifier_start);
+  const double hybrid_acc = PipelineAccuracy(t, compiled);
   EXPECT_NEAR(hybrid_acc, nn_acc, 1e-9)
       << "BN folding must be bit-exact against float eval";
 
@@ -69,9 +87,7 @@ TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
   mc.device.sense_offset_sigma = 0.0;
   mc.device.weak_prob_ref = 0.0;
   arch::MappedBnn mapped(compiled, mc);
-  Tensor features = core::ForwardPrefix(t.built.net, t.val.x,
-                                        t.built.classifier_start);
-  if (features.rank() > 2) features = features.Reshape({t.val.size(), -1});
+  const Tensor features = Features(t);
   const auto sw = compiled.PredictBatch(features);
   const auto hw = mapped.PredictBatch(features);
   EXPECT_EQ(sw, hw) << "mapped fabric must be bit-exact at zero error";
@@ -79,27 +95,24 @@ TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
 
 TEST(EndToEnd, FaultInjectionDegradesGracefullyAtRealisticBer) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
-  const core::BnnModel clean =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
-  const double base_acc = core::HybridAccuracy(
-      t.built.net, t.built.classifier_start, clean, t.val);
+  const core::BnnProgram clean =
+      core::CompileProgram(t.built.net, t.built.classifier_start);
+  const double base_acc = PipelineAccuracy(t, clean);
 
   // 2T2R-class BER (1e-4): accuracy within noise of the clean model.
   {
-    core::BnnModel faulty = clean;
+    core::BnnProgram faulty = clean;
     Rng rng(5);
     (void)core::InjectWeightFaults(faulty, 1e-4, rng);
-    const double acc = core::HybridAccuracy(
-        t.built.net, t.built.classifier_start, faulty, t.val);
+    const double acc = PipelineAccuracy(t, faulty);
     EXPECT_GE(acc, base_acc - 0.05);
   }
   // Catastrophic BER (0.5 = random weights): near chance.
   {
-    core::BnnModel faulty = clean;
+    core::BnnProgram faulty = clean;
     Rng rng(6);
     (void)core::InjectWeightFaults(faulty, 0.5, rng);
-    const double acc = core::HybridAccuracy(
-        t.built.net, t.built.classifier_start, faulty, t.val);
+    const double acc = PipelineAccuracy(t, faulty);
     EXPECT_LT(acc, base_acc);
     EXPECT_GT(acc, 0.2);
   }
@@ -141,16 +154,13 @@ TEST(EndToEnd, EegFullBinaryTrainsAboveChance) {
 
 TEST(EndToEnd, AgedFabricWithRefreshKeepsWorking) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
-  const core::BnnModel compiled =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(t.built.net, t.built.classifier_start);
   arch::MapperConfig mc;
   mc.device = rram::DeviceParams{};
   mc.pre_stress_cycles = static_cast<std::uint64_t>(3e8);
   arch::MappedBnn mapped(compiled, mc);
-  Tensor features = core::ForwardPrefix(t.built.net, t.val.x,
-                                        t.built.classifier_start);
-  if (features.rank() > 2) features = features.Reshape({t.val.size(), -1});
-  const auto preds = mapped.PredictBatch(features);
+  const auto preds = mapped.PredictBatch(Features(t));
   std::int64_t hits = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == t.val.y[i]) ++hits;

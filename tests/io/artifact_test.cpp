@@ -111,8 +111,8 @@ TEST_F(SavedEcgArtifact, LoadedEngineIsTrainedAndCompiled) {
   EXPECT_FALSE(loaded.deployed());
   EXPECT_EQ(loaded.classifier_start(), engine_->classifier_start());
   EXPECT_EQ(loaded.net().size(), engine_->net().size());
-  EXPECT_EQ(loaded.compiled_model().TotalWeightBits(),
-            engine_->compiled_model().TotalWeightBits());
+  EXPECT_EQ(loaded.compiled_program().TotalWeightBits(),
+            engine_->compiled_program().TotalWeightBits());
   // A loaded engine has no ModelFactory: retraining needs an explicit one.
   EXPECT_THROW((void)loaded.Train(*data_, *data_), std::logic_error);
 }

@@ -5,6 +5,7 @@
 // is rejected with a descriptive std::runtime_error instead of being read.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -169,13 +170,121 @@ TEST(BitMatrixSerdeTest, HugeWordCountRejectedBeforeAllocation) {
   EXPECT_THROW((void)LoadBitMatrix(r), std::runtime_error);
 }
 
-TEST(BnnModelSerdeTest, HugeThresholdCountRejectedBeforeAllocation) {
+TEST(DenseProgramSerdeTest, HugeThresholdCountRejectedBeforeAllocation) {
   ByteWriter w;
   w.WriteU64(1);         // one hidden layer
   SaveBitMatrix(core::BitMatrix(2, 4), w);
   w.WriteU64(1ull << 60);  // threshold count far beyond the payload
-  ByteReader r(w.bytes(), "bnn model");
-  EXPECT_THROW((void)LoadBnnModel(r), std::runtime_error);
+  ByteReader r(w.bytes(), "compiled-bnn");
+  EXPECT_THROW((void)LoadDenseProgram(r), std::runtime_error);
+}
+
+TEST(DenseProgramSerdeTest, HugeHiddenCountRunsOutOfPayload) {
+  ByteWriter w;
+  w.WriteU64(1ull << 60);  // hidden-stage count far beyond the payload
+  SaveBitMatrix(core::BitMatrix(2, 4), w);
+  ByteReader r(w.bytes(), "compiled-bnn");
+  EXPECT_THROW((void)LoadDenseProgram(r), std::runtime_error);
+}
+
+/// Little-endian encoder for hand-built expected streams.
+struct LeBytes {
+  LeBytes& Put(std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    return *this;
+  }
+  LeBytes& U64(std::uint64_t v) { return Put(v, 8); }
+  LeBytes& I64(std::int64_t v) { return Put(static_cast<std::uint64_t>(v), 8); }
+  LeBytes& I32(std::int32_t v) { return Put(static_cast<std::uint32_t>(v), 4); }
+  LeBytes& F32(float v) { return Put(std::bit_cast<std::uint32_t>(v), 4); }
+
+  std::vector<std::uint8_t> bytes;
+};
+
+/// 3 inputs -> 2 hidden units -> 2 classes, weights given as packed words
+/// (bit c of a row word is column c, set = +1).
+core::BnnProgram TinyDenseProgram() {
+  core::BnnProgram program;
+  program.SetInputShape({3, 1, 1});
+  program.AddStage(core::DenseHiddenStage(
+      core::BitMatrix::FromWords(2, 3, {0b101, 0b110}), {1, 4}));
+  program.AddStage(core::DenseOutputStage(
+      core::BitMatrix::FromWords(2, 2, {0b11, 0b10}), {0.5f, -1.25f},
+      {0.25f, 3.0f}));
+  program.Validate();
+  return program;
+}
+
+/// The "compiled-bnn" chunk layout is frozen: old artifacts must keep
+/// loading and pure-dense saves must stay byte-identical, so the writer is
+/// pinned to a hand-encoded stream, not just to its own reader.
+TEST(DenseProgramSerdeTest, CompiledBnnBytesArePinned) {
+  const std::vector<std::uint8_t> expected =
+      LeBytes()
+          .U64(1)                               // hidden-stage count
+          .I64(2).I64(3).U64(0b101).U64(0b110)  // hidden: rows, cols, words
+          .U64(2).I32(1).I32(4)                 // hidden thresholds
+          .I64(2).I64(2).U64(0b11).U64(0b10)    // output: rows, cols, words
+          .U64(2).F32(0.5f).F32(-1.25f)         // output scale
+          .U64(2).F32(0.25f).F32(3.0f)          // output offset
+          .bytes;
+  const core::BnnProgram program = TinyDenseProgram();
+  ByteWriter w;
+  SaveDenseProgram(program, w);
+  EXPECT_EQ(w.bytes(), expected);
+
+  ByteReader r(expected, "compiled-bnn");
+  const core::BnnProgram loaded = LoadDenseProgram(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(loaded.input_shape(), program.input_shape());
+  ASSERT_EQ(loaded.num_stages(), program.num_stages());
+  for (std::size_t i = 0; i < program.num_stages(); ++i) {
+    const core::ProgramStage& a = loaded.stages()[i];
+    const core::ProgramStage& b = program.stages()[i];
+    EXPECT_EQ(a.kind, b.kind) << "stage " << i;
+    EXPECT_EQ(a.out_shape, b.out_shape) << "stage " << i;
+    EXPECT_EQ(a.gemm.lowering, b.gemm.lowering) << "stage " << i;
+    EXPECT_EQ(a.gemm.is_output, b.gemm.is_output) << "stage " << i;
+    EXPECT_EQ(a.gemm.weights, b.gemm.weights) << "stage " << i;
+    EXPECT_EQ(a.gemm.thresholds, b.gemm.thresholds) << "stage " << i;
+    EXPECT_EQ(a.gemm.scale, b.gemm.scale) << "stage " << i;
+    EXPECT_EQ(a.gemm.offset, b.gemm.offset) << "stage " << i;
+  }
+}
+
+TEST(DenseProgramSerdeTest, SaveRejectsNonDensePrograms) {
+  core::BnnProgram program = TinyDenseProgram();
+  program.stages()[0].gemm.lowering = core::GemmLowering::kConv;
+  ByteWriter w;
+  EXPECT_THROW(SaveDenseProgram(program, w), std::logic_error);
+}
+
+/// A threshold outside [0, cols + 1] is corrupt in either compiled chunk:
+/// the "compiled-program" loader validates threshold ranges exactly like
+/// the "compiled-bnn" one.
+TEST(ProgramSerdeTest, OutOfRangeThresholdRejectedAsCorrupt) {
+  core::BnnProgram program = TinyDenseProgram();
+  program.stages()[0].gemm.thresholds[1] = 5;  // cols = 3: at most 4
+  for (const bool dense_chunk : {false, true}) {
+    ByteWriter w;
+    if (dense_chunk) {
+      SaveDenseProgram(program, w);
+    } else {
+      SaveBnnProgram(program, w);
+    }
+    ByteReader r(w.bytes(), dense_chunk ? "compiled-bnn" : "compiled-program");
+    try {
+      (void)(dense_chunk ? LoadDenseProgram(r) : LoadBnnProgram(r));
+      ADD_FAILURE() << "out-of-range threshold loaded, dense_chunk="
+                    << dense_chunk;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("artifact corrupt"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BitMatrixSerdeTest, FromWordsRejectsBadShapes) {

@@ -11,13 +11,13 @@ namespace rrambnn::core {
 
 namespace {
 
-// -- Word-level bit-field gather ---------------------------------------------
+// -- Bit fields ---------------------------------------------------------------
 //
-// The im2col patch builder moves runs of contiguous input bits (the kx taps
+// Patch gathers and pooling move runs of contiguous input bits (the kx taps
 // of one (channel, ky) kernel row are adjacent along W in CHW bit order)
 // with one field extract + one field deposit per run instead of per-bit
-// Get/Set. A run is at most kernel_w <= 64 bits, so it spans at most two
-// source and two destination words.
+// Get/Set. A run is at most 64 bits, so it spans at most two source and two
+// destination words.
 
 /// Bits [bit, bit + len) of `words` as the low bits of a word; len in
 /// [1, 64], bit + len must not exceed the span's bit capacity.
@@ -44,7 +44,9 @@ void DepositField(std::uint64_t* words, std::int64_t bit, int len,
 /// Gathers the patch of output pixel (oy, ox) over channels
 /// [c_begin, c_end) from one packed CHW activation row into `dst`
 /// (pre-zeroed; patch bit layout (c - c_begin)*kh*kw + ky*kw + kx).
-/// Out-of-range padded taps are left as bit 0 (-1).
+/// Out-of-range padded taps are left as bit 0 (-1). The single-row path's
+/// gather, kept apart from the batch path's GatherPatches so each checks
+/// the other.
 void GatherPatch(std::span<const std::uint64_t> src, const StageGeometry& g,
                  std::int64_t c_begin, std::int64_t c_end, std::int64_t oy,
                  std::int64_t ox, std::uint64_t* dst) {
@@ -77,30 +79,218 @@ std::int32_t StageThreshold(const PackedGemmStage& g, std::int64_t unit,
   return g.thresholds[idx];
 }
 
-/// Max pooling over {-1,+1} bits: a window is +1 iff any bit is set, i.e.
-/// any extracted kernel-row field is nonzero. Pooling has no padding, so
-/// every window lies fully inside the input.
-BitMatrix PoolBatch(const BitMatrix& batch, const StageGeometry& g) {
-  const std::int64_t c_n = g.in_channels, h = g.in_h, w = g.in_w;
+// -- Word-level batch stages --------------------------------------------------
+//
+// Each hidden stage of ScoresBatch lays one sample's popcounts out in the
+// stage's CHW output order (unit-major, then output pixel) and hands them to
+// ThresholdBits, which writes whole 64-bit words of activations — the
+// software counterpart of a macro periphery thresholding every column of a
+// row at once. Pooling ORs and compacts words the same way.
+
+std::uint64_t LowBits(std::int64_t len) {
+  return len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+}
+
+/// Bits [bit, bit + 64) of `words` ANDed with `mask`. Reads the word after
+/// the field's first unconditionally, so that word must exist.
+std::uint64_t ReadBits(const std::uint64_t* words, std::int64_t bit,
+                       std::uint64_t mask) {
+  const std::uint64_t* p = words + (bit >> 6);
+  const int off = static_cast<int>(bit & 63);
+  // (p[1] << 1) << (63 - off) is p[1] << (64 - off), defined for off == 0.
+  return ((p[0] >> off) | ((p[1] << 1) << (63 - off))) & mask;
+}
+
+/// One packed CHW activation row copied into a zero-padded
+/// [C, in_h + 2 pad_h, in_w + 2 pad_w] plane: every tap of every patch lies
+/// in range, and a padded tap reads bit 0 (-1) as in GatherPatch.
+struct PaddedRow {
+  std::int64_t h = 0;
+  std::int64_t w = 0;
+  std::vector<std::uint64_t> words;
+};
+
+void PadRow(std::span<const std::uint64_t> src, const StageGeometry& g,
+            PaddedRow& out) {
+  out.h = g.in_h + 2 * g.pad_h;
+  out.w = g.in_w + 2 * g.pad_w;
+  // One spare word past the last plane bit, for ReadBits.
+  const std::int64_t plane_bits = g.in_channels * out.h * out.w;
+  out.words.assign(static_cast<std::size_t>(plane_bits / 64 + 2), 0);
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    for (std::int64_t y = 0; y < g.in_h; ++y) {
+      const std::int64_t from = (c * g.in_h + y) * g.in_w;
+      const std::int64_t to = (c * out.h + y + g.pad_h) * out.w + g.pad_w;
+      for (std::int64_t x = 0; x < g.in_w; x += 64) {
+        const int len =
+            static_cast<int>(std::min<std::int64_t>(64, g.in_w - x));
+        DepositField(out.words.data(), to + x, len,
+                     ExtractField(src, from + x, len));
+      }
+    }
+  }
+}
+
+/// The im2col patches of one padded row over channels [c_begin, c_end), in
+/// BuildPatchMatrix's layout: output pixel p's patch fills words
+/// [p * wpp, (p + 1) * wpp) of `dst` (pre-zeroed), tap (c - c_begin, ky, kx)
+/// at bit ((c - c_begin) * kh + ky) * kw + kx. One read of a kernel row's
+/// input span serves a run of output columns: each column's kernel_w taps
+/// are a shift of it.
+void GatherPatches(const PaddedRow& in, const StageGeometry& g,
+                   std::int64_t c_begin, std::int64_t c_end, std::int64_t wpp,
+                   std::uint64_t* dst) {
+  const std::int64_t kw = g.kernel_w, sw = g.stride_w;
+  const std::uint64_t tap_mask = LowBits(kw);
   const std::int64_t oh = g.OutH(), ow = g.OutW();
-  BitMatrix out(batch.rows(), c_n * oh * ow);
-  for (std::int64_t i = 0; i < batch.rows(); ++i) {
-    const std::span<const std::uint64_t> src = batch.RowWords(i);
-    for (std::int64_t c = 0; c < c_n; ++c) {
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          bool any = false;
-          for (std::int64_t ky = 0; ky < g.kernel_h && !any; ++ky) {
-            const std::int64_t iy = oy * g.stride_h + ky;
-            any = ExtractField(src, c * h * w + iy * w + ox * g.stride_w,
-                               static_cast<int>(g.kernel_w)) != 0;
+  // Output columns per read: the input span (k - 1) * sw + kw of k columns
+  // fits one word.
+  const std::int64_t per_read = std::max<std::int64_t>(1, (64 - kw) / sw + 1);
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    for (std::int64_t ox0 = 0; ox0 < ow; ox0 += per_read) {
+      const std::int64_t k = std::min(per_read, ow - ox0);
+      const std::uint64_t span_mask = LowBits((k - 1) * sw + kw);
+      std::uint64_t* first = dst + (oy * ow + ox0) * wpp;
+      std::int64_t pos = 0;
+      for (std::int64_t c = c_begin; c < c_end; ++c) {
+        for (std::int64_t ky = 0; ky < g.kernel_h; ++ky, pos += kw) {
+          const std::uint64_t span = ReadBits(
+              in.words.data(),
+              (c * in.h + oy * g.stride_h + ky) * in.w + ox0 * sw, span_mask);
+          std::uint64_t* d = first + (pos >> 6);
+          const int off = static_cast<int>(pos & 63);
+          if (off + kw <= 64) {
+            for (std::int64_t t = 0; t < k; ++t) {
+              d[t * wpp] |= ((span >> (t * sw)) & tap_mask) << off;
+            }
+          } else {
+            for (std::int64_t t = 0; t < k; ++t) {
+              const std::uint64_t taps = (span >> (t * sw)) & tap_mask;
+              d[t * wpp] |= taps << off;
+              d[t * wpp + 1] |= taps >> (64 - off);
+            }
           }
-          if (any) out.Set(i, c * oh * ow + oy * ow + ox, +1);
         }
       }
     }
   }
-  return out;
+}
+
+/// The stage's `popcount + bias >= threshold` test as
+/// `popcount >= eff[k]`, one entry per output bit in CHW order (a per-unit
+/// threshold repeats over the unit's pixels).
+std::vector<std::int32_t> EffectiveThresholds(const PackedGemmStage& g,
+                                              const std::int32_t* bias) {
+  const std::int64_t units = g.units(), patches = g.num_patches();
+  std::vector<std::int32_t> eff(static_cast<std::size_t>(units * patches));
+  for (std::int64_t u = 0; u < units; ++u) {
+    const std::int32_t b = bias ? bias[u] : 0;
+    for (std::int64_t p = 0; p < patches; ++p) {
+      eff[static_cast<std::size_t>(u * patches + p)] =
+          StageThreshold(g, u, p) - b;
+    }
+  }
+  return eff;
+}
+
+/// One hidden GEMM stage over a packed batch, popcounting against `w` (the
+/// program's weights or a substrate's readback planes) plus `bias`.
+BitMatrix HiddenStage(const PackedGemmStage& g, const BitMatrix& in,
+                      const BitMatrix& w, const std::int32_t* bias) {
+  const std::int64_t n = in.rows();
+  const std::int64_t units = g.units(), patches = g.num_patches();
+  const std::int64_t out_bits = units * patches;
+  if (n == 0 || out_bits == 0) return BitMatrix(n, out_bits);
+  const std::int64_t out_wpr = (out_bits + 63) / 64;
+  const std::vector<std::int32_t> eff = EffectiveThresholds(g, bias);
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(n * out_wpr));
+  std::vector<std::int32_t> pops;
+  if (g.lowering == GemmLowering::kDense) {
+    // [n, units]: each row's popcounts are already in output order.
+    XnorPopcountGemm(in, w, pops);
+    for (std::int64_t i = 0; i < n; ++i) {
+      ThresholdBits(pops.data() + i * units, eff.data(), units,
+                    out.data() + i * out_wpr);
+    }
+    return BitMatrix::FromWords(n, out_bits, std::move(out));
+  }
+  const std::int64_t patch_bits = w.cols(), wpp = w.words_per_row();
+  const std::uint64_t* weights = w.words().data();
+  const std::uint64_t* rows = in.words().data();
+  PaddedRow padded;
+  std::vector<std::uint64_t> patch_words;
+  pops.resize(static_cast<std::size_t>(out_bits));
+  for (std::int64_t i = 0; i < n; ++i) {
+    PadRow({rows + i * in.words_per_row(),
+            static_cast<std::size_t>(in.words_per_row())},
+           g.geom, padded);
+    if (g.lowering == GemmLowering::kConv) {
+      // Weights x patches^T: unit u's popcounts over consecutive pixels.
+      patch_words.assign(static_cast<std::size_t>(patches * wpp), 0);
+      GatherPatches(padded, g.geom, 0, g.geom.in_channels, wpp,
+                    patch_words.data());
+      XnorPopcountGemm(weights, units, patch_words.data(), patches,
+                       patch_bits, pops.data());
+    } else {
+      // Depthwise, one pass over all channels: channel c's patches meet
+      // only weight row c.
+      patch_words.assign(static_cast<std::size_t>(units * patches * wpp), 0);
+      for (std::int64_t c = 0; c < units; ++c) {
+        std::uint64_t* channel = patch_words.data() + c * patches * wpp;
+        GatherPatches(padded, g.geom, c, c + 1, wpp, channel);
+        XnorPopcountGemm(weights + c * wpp, 1, channel, patches, patch_bits,
+                         pops.data() + c * patches);
+      }
+    }
+    ThresholdBits(pops.data(), eff.data(), out_bits, out.data() + i * out_wpr);
+  }
+  return BitMatrix::FromWords(n, out_bits, std::move(out));
+}
+
+/// Max pooling over {-1,+1} bits: a window is +1 iff any of its bits is
+/// set. Per output row, the window's kernel rows are ORed as words, each
+/// bit is ORed with its kernel_w - 1 higher neighbours by doubling shifts,
+/// and every stride_w-th bit is kept (ExtractBits). Pooling has no padding,
+/// so every window lies inside the input.
+BitMatrix PoolBatch(const BitMatrix& batch, const StageGeometry& g) {
+  const std::int64_t n = batch.rows();
+  const std::int64_t h = g.in_h, w = g.in_w;
+  const std::int64_t oh = g.OutH(), ow = g.OutW();
+  const std::int64_t kw = g.kernel_w, sw = g.stride_w;
+  const std::int64_t out_bits = g.in_channels * oh * ow;
+  const std::int64_t out_wpr = (out_bits + 63) / 64;
+  // Output columns per pass: the input span (k - 1) * sw + kw of k
+  // windows fits one word.
+  const std::int64_t per_pass = std::max<std::int64_t>(1, (64 - kw) / sw + 1);
+  std::uint64_t starts = 0;  // bit j set where a window starts
+  for (std::int64_t b = 0; b < 64; b += sw) starts |= std::uint64_t{1} << b;
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(n * out_wpr), 0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::span<const std::uint64_t> src = batch.RowWords(i);
+    std::uint64_t* dst = words.data() + i * out_wpr;
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        const std::int64_t row0 = (c * h + oy * g.stride_h) * w;
+        for (std::int64_t ox = 0; ox < ow; ox += per_pass) {
+          const std::int64_t k = std::min(per_pass, ow - ox);
+          const int span = static_cast<int>((k - 1) * sw + kw);
+          std::uint64_t v = 0;
+          for (std::int64_t ky = 0; ky < g.kernel_h; ++ky) {
+            v |= ExtractField(src, row0 + ky * w + ox * sw, span);
+          }
+          for (std::int64_t width = 1; width < kw;) {
+            const std::int64_t step = std::min(width, kw - width);
+            v |= v >> step;
+            width += step;
+          }
+          const std::uint64_t bits = sw == 1 ? v : ExtractBits(v, starts);
+          DepositField(dst, (c * oh + oy) * ow + ox, static_cast<int>(k),
+                       bits & LowBits(k));
+        }
+      }
+    }
+  }
+  return BitMatrix::FromWords(n, out_bits, std::move(words));
 }
 
 BitVector PoolRow(const BitVector& x, const StageGeometry& g) {
@@ -176,22 +366,18 @@ BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
   if (batch.cols() != geom.in_channels * geom.in_h * geom.in_w) {
     throw std::invalid_argument("BuildPatchMatrix: batch width mismatch");
   }
-  const std::int64_t oh = geom.OutH(), ow = geom.OutW();
-  const std::int64_t patches = oh * ow;
+  const std::int64_t patches = geom.NumPatches();
   const std::int64_t patch_bits =
       (c_end - c_begin) * geom.kernel_h * geom.kernel_w;
   const std::int64_t wpr = (patch_bits + 63) / 64;
   const std::int64_t n = batch.rows();
   std::vector<std::uint64_t> words(static_cast<std::size_t>(n * patches * wpr),
                                    0);
+  PaddedRow padded;
   for (std::int64_t i = 0; i < n; ++i) {
-    const std::span<const std::uint64_t> src = batch.RowWords(i);
-    std::uint64_t* dst = words.data() + i * patches * wpr;
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox, dst += wpr) {
-        GatherPatch(src, geom, c_begin, c_end, oy, ox, dst);
-      }
-    }
+    PadRow(batch.RowWords(i), geom, padded);
+    GatherPatches(padded, geom, c_begin, c_end, wpr,
+                  words.data() + i * patches * wpr);
   }
   return BitMatrix::FromWords(n * patches, patch_bits, std::move(words));
 }
@@ -350,7 +536,6 @@ std::vector<float> BnnProgram::ScoresBatch(
   const std::int64_t n = batch.rows();
   const BitMatrix* cur = &batch;
   BitMatrix act;
-  std::vector<std::int32_t> pops;  // shared popcount scratch across stages
   std::size_t gi = 0;
   for (const ProgramStage& stage : stages_) {
     switch (stage.kind) {
@@ -361,9 +546,14 @@ std::vector<float> BnnProgram::ScoresBatch(
         if (!substrates.empty()) {
           w = substrates[gi].weights;
           bias = substrates[gi].pop_bias;
+          if (w->rows() != g.weights.rows() || w->cols() != g.weights.cols()) {
+            throw std::invalid_argument(
+                "BnnProgram: substrate weight shape mismatch");
+          }
         }
-        const std::int64_t units = g.units();
         if (g.is_output) {
+          const std::int64_t units = g.units();
+          std::vector<std::int32_t> pops;
           XnorPopcountGemm(*cur, *w, pops);
           std::vector<float> scores(static_cast<std::size_t>(n * units));
           for (std::int64_t i = 0; i < n; ++i) {
@@ -382,59 +572,7 @@ std::vector<float> BnnProgram::ScoresBatch(
           }
           return scores;
         }
-        BitMatrix next(n, g.out_bits());
-        switch (g.lowering) {
-          case GemmLowering::kDense: {
-            XnorPopcountGemm(*cur, *w, pops);
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::int32_t* row = pops.data() + i * units;
-              for (std::int64_t u = 0; u < units; ++u) {
-                if (row[u] + (bias ? bias[u] : 0) >=
-                    g.thresholds[static_cast<std::size_t>(u)]) {
-                  next.Set(i, u, +1);
-                }
-              }
-            }
-            break;
-          }
-          case GemmLowering::kConv: {
-            const std::int64_t patches = g.num_patches();
-            const BitMatrix im2col =
-                BuildPatchMatrix(*cur, g.geom, 0, g.geom.in_channels);
-            XnorPopcountGemm(im2col, *w, pops);
-            for (std::int64_t i = 0; i < n; ++i) {
-              for (std::int64_t p = 0; p < patches; ++p) {
-                const std::int32_t* row = pops.data() + (i * patches + p) * units;
-                for (std::int64_t u = 0; u < units; ++u) {
-                  if (row[u] + (bias ? bias[u] : 0) >=
-                      StageThreshold(g, u, p)) {
-                    next.Set(i, u * patches + p, +1);
-                  }
-                }
-              }
-            }
-            break;
-          }
-          case GemmLowering::kDepthwise: {
-            const std::int64_t patches = g.num_patches();
-            for (std::int64_t c = 0; c < units; ++c) {
-              const BitMatrix im2col = BuildPatchMatrix(*cur, g.geom, c, c + 1);
-              const BitMatrix w_row = w->RowSlice(c, c + 1);
-              XnorPopcountGemm(im2col, w_row, pops);
-              const std::int32_t b = bias ? bias[c] : 0;
-              for (std::int64_t i = 0; i < n; ++i) {
-                for (std::int64_t p = 0; p < patches; ++p) {
-                  if (pops[static_cast<std::size_t>(i * patches + p)] + b >=
-                      StageThreshold(g, c, p)) {
-                    next.Set(i, c * patches + p, +1);
-                  }
-                }
-              }
-            }
-            break;
-          }
-        }
-        act = std::move(next);
+        act = HiddenStage(g, *cur, *w, bias);
         cur = &act;
         ++gi;
         break;

@@ -33,6 +33,17 @@
 // A dense classifier is the pure-dense special case (IsPureDense): one dense
 // GEMM stage per layer (DenseHiddenStage / DenseOutputStage), stored as the
 // byte-stable "compiled-bnn" artifact chunk.
+//
+// Two execution paths give bit-identical scores. ScoresWith runs one packed
+// row a bit at a time, asking a StagePopcounter for every popcount (the
+// transactional path a simulated fabric answers). ScoresBatch runs a packed
+// batch a word at a time: every hidden stage lays one sample's popcounts out
+// in its CHW output order — a conv stage as weights x patches^T, so one
+// unit's popcounts over consecutive pixels are contiguous; a depthwise stage
+// in one pass over all channels — and thresholds them into whole 64-bit
+// words of activations, as a macro periphery thresholds every column of a
+// row at once. Pooling ORs word-shifted kernel rows and keeps every
+// stride-th column with one bit extract.
 #pragma once
 
 #include <cstdint>

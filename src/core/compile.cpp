@@ -406,8 +406,10 @@ Tensor InferPrefix(const nn::Sequential& model, const Tensor& x,
   if (end_layer > model.size()) {
     throw std::invalid_argument("InferPrefix: end_layer out of range");
   }
-  Tensor y = x;
-  for (std::size_t i = 0; i < end_layer; ++i) {
+  if (end_layer == 0) return x;
+  // The first layer reads the caller's tensor directly: no input copy.
+  Tensor y = model[0].Infer(x);
+  for (std::size_t i = 1; i < end_layer; ++i) {
     y = model[i].Infer(y);
   }
   return y;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "engine/worker_pool.h"
 #include "tensor/rng.h"
 
 namespace rrambnn::engine {
@@ -267,36 +266,12 @@ void ShardedRramBackend::ForEachShard(
   const std::int64_t chunk = (rows + s - 1) / s;
   if (chunk == 0) return;
   // Row -> chip routing is fixed by the chunk arithmetic over the serving
-  // set, so inline and threaded execution produce identical results;
-  // threads only change wall-clock. On a single-hardware-thread host (or
-  // with one occupied chip) spawn/teardown would dominate, so serve inline.
+  // set, so which thread serves a chunk changes only wall-clock.
   const std::int64_t occupied = std::min(s, (rows + chunk - 1) / chunk);
-  const bool inline_serve =
-      occupied <= 1 || std::thread::hardware_concurrency() <= 1;
-  if (inline_serve) {
-    for (std::int64_t c = 0; c < occupied; ++c) {
-      serve(active[static_cast<std::size_t>(c)], c * chunk,
-            std::min(rows, (c + 1) * chunk));
-    }
-    return;
-  }
-  std::vector<std::thread> pool;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(occupied));
-  for (std::int64_t c = 0; c < occupied; ++c) {
-    const std::int64_t begin = c * chunk;
-    const std::int64_t end = std::min(rows, begin + chunk);
-    pool.emplace_back([&, c, begin, end] {
-      try {
-        serve(active[static_cast<std::size_t>(c)], begin, end);
-      } catch (...) {
-        errors[static_cast<std::size_t>(c)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  RunTasks(occupied, [&](std::int64_t c) {
+    serve(active[static_cast<std::size_t>(c)], c * chunk,
+          std::min(rows, (c + 1) * chunk));
+  });
 }
 
 std::vector<float> ShardedRramBackend::ScoresBatch(

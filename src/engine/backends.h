@@ -124,10 +124,10 @@ class FaultInjectionBackend : public InferenceBackend,
 /// programmed under its own programming-noise seed derived from the base
 /// seed (chip 0 keeps the base seed itself, see ShardSeed), so batch rows
 /// can be sharded across chips concurrently: contiguous row ranges, one
-/// worker thread per chip. With deterministic senses each chip serves its
-/// shard through its packed readback snapshot and the bit-plane GEMM;
-/// stochastic fabrics advance device RNG state on every read and serve row
-/// by row.
+/// RunTasks task per chip (engine/worker_pool.h). With deterministic senses
+/// each chip serves its shard through its packed readback snapshot and the
+/// bit-plane GEMM; stochastic fabrics advance device RNG state on every
+/// read and serve row by row.
 ///
 /// Accuracy semantics: chips differ in their programming-noise draws, so at
 /// nonzero device error rates a row's scores depend on which chip served it
@@ -148,16 +148,16 @@ class ShardedRramBackend : public InferenceBackend,
   std::int64_t num_classes() const override;
   /// Single-row inference is served by the first serving chip.
   std::vector<float> Scores(const core::BitVector& x) override;
-  /// Shards rows across serving chips (contiguous ranges, one worker per
-  /// chip; on a single-hardware-thread host the chips are served inline
-  /// instead). Chips routed out by the health layer receive no rows.
+  /// Shards rows across serving chips (contiguous ranges, one task per
+  /// occupied chip: the caller serves the first, the process-wide worker
+  /// pool the rest). Chips routed out by the health layer receive no rows.
   /// PredictPacked is inherited: argmax over this.
   std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
   std::string Describe() const override;
   /// Aggregated over chips: programming energy, area and macro count sum;
   /// per-inference cost is per chip (a row is served by exactly one chip).
   EnergyBreakdown EnergyReport() const override;
-  /// The backend parallelizes internally (one worker per chip); the engine
+  /// The backend parallelizes internally (one task per chip); the engine
   /// must not also shard rows across threads.
   bool SupportsConcurrentInference() const override { return false; }
   /// True when every shard has deterministic senses: each chip's batch path
@@ -197,8 +197,8 @@ class ShardedRramBackend : public InferenceBackend,
   void CheckChip(int chip) const;
 
   /// Runs `serve(chip, begin, end)` for each serving chip's contiguous row
-  /// range, one thread per occupied chip. Throws std::runtime_error when
-  /// every chip is routed out of serving.
+  /// range through RunTasks. Throws std::runtime_error when every chip is
+  /// routed out of serving.
   void ForEachShard(
       std::int64_t rows,
       const std::function<void(std::size_t, std::int64_t, std::int64_t)>&

@@ -1,13 +1,12 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <exception>
 #include <span>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "engine/worker_pool.h"
 #include "io/artifact.h"
 #include "tensor/stats.h"
 
@@ -232,42 +231,49 @@ InferenceBackend& Engine::EnsureDeployed() {
 // Serving
 // ---------------------------------------------------------------------------
 
-Tensor Engine::Features(const Tensor& x) {
+core::BitMatrix Engine::PackedFeatures(const Tensor& x) const {
+  // The last prefix activation is packed straight from its buffer: a
+  // [rows, C, H, W] tensor's row-major order is each row's CHW order, the
+  // classifier's packed bit order.
+  auto features = [this](const Tensor& batch) {
+    const Tensor out = core::InferPrefix(net_, batch, classifier_start_);
+    const std::int64_t rows = batch.dim(0);
+    const std::int64_t width = rows > 0 ? out.size() / rows : 0;
+    return core::BitMatrix::FromSignRows(
+        std::span<const float>(out.data(),
+                               static_cast<std::size_t>(out.size())),
+        rows, width);
+  };
   const std::int64_t n = x.dim(0);
-  const std::int64_t sample_elems = n > 0 ? x.size() / n : 0;
-  Tensor features({n, 0});
+  // One minibatch covers the request (the serving case): the layers run on
+  // the caller's tensor itself.
+  if (n <= config_.batch_size) return features(x);
+  const std::int64_t sample_elems = x.size() / n;
+  std::vector<std::uint64_t> words;
+  std::int64_t width = 0;
   for (std::int64_t start = 0; start < n; start += config_.batch_size) {
     const std::int64_t stop = std::min(n, start + config_.batch_size);
     Shape batch_shape = x.shape();
     batch_shape[0] = stop - start;
     // Rows of a row-major tensor are one contiguous block: slice in bulk.
-    Tensor batch(batch_shape,
-                 std::vector<float>(x.data() + start * sample_elems,
-                                    x.data() + stop * sample_elems));
-    Tensor out = core::InferPrefix(net_, batch, classifier_start_);
-    if (out.rank() > 2) out = out.Reshape({stop - start, -1});
-    if (features.dim(1) == 0) {
-      features = Tensor({n, out.dim(1)});
-    }
-    std::copy(out.data(), out.data() + out.size(),
-              features.data() + start * out.dim(1));
+    const core::BitMatrix part = features(Tensor(
+        batch_shape, std::vector<float>(x.data() + start * sample_elems,
+                                        x.data() + stop * sample_elems)));
+    // Packed rows are word-aligned, so minibatches concatenate by words.
+    words.insert(words.end(), part.words().begin(), part.words().end());
+    width = part.cols();
   }
-  return features;
+  return core::BitMatrix::FromWords(n, width, std::move(words));
 }
 
-std::vector<std::int64_t> Engine::PredictRows(const Tensor& features) {
-  const std::int64_t n = features.dim(0);
-  const std::int64_t f = features.dim(1);
+std::vector<std::int64_t> Engine::PredictRows(const core::BitMatrix& packed) {
+  const std::int64_t n = packed.rows();
+  const std::int64_t f = packed.cols();
   if (f != backend_->input_size()) {
     throw std::invalid_argument(
         "Engine: feature width " + std::to_string(f) +
         " != backend input size " + std::to_string(backend_->input_size()));
   }
-  // Pack the whole feature set once (it used to be re-packed row by row on
-  // every prediction call); every downstream path works on packed batches.
-  const core::BitMatrix packed = core::BitMatrix::FromSignRows(
-      std::span<const float>(features.data(), static_cast<std::size_t>(n * f)),
-      n, f);
 
   std::int64_t workers = config_.threads;
   if (!backend_->SupportsConcurrentInference()) workers = 1;
@@ -278,30 +284,17 @@ std::vector<std::int64_t> Engine::PredictRows(const Tensor& features) {
   }
 
   // Each row's prediction is a pure function of the row for concurrent-safe
-  // backends, and workers own disjoint contiguous shards served as one
-  // packed batch each, so the result is identical for any worker count.
+  // backends, and tasks own disjoint contiguous shards served as one packed
+  // batch each, so the result is identical for any worker count.
   std::vector<std::int64_t> preds(static_cast<std::size_t>(n));
   const std::int64_t chunk = (n + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-  for (std::int64_t w = 0; w < workers; ++w) {
+  RunTasks((n + chunk - 1) / chunk, [&](std::int64_t w) {
     const std::int64_t begin = w * chunk;
     const std::int64_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&, w, begin, end] {
-      try {
-        const std::vector<std::int64_t> shard =
-            backend_->PredictPacked(packed.RowSlice(begin, end));
-        std::copy(shard.begin(), shard.end(), preds.begin() + begin);
-      } catch (...) {
-        errors[static_cast<std::size_t>(w)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+    const std::vector<std::int64_t> shard =
+        backend_->PredictPacked(packed.RowSlice(begin, end));
+    std::copy(shard.begin(), shard.end(), preds.begin() + begin);
+  });
   return preds;
 }
 
@@ -315,7 +308,7 @@ std::vector<std::int64_t> Engine::Predict(const Tensor& batch) {
                                 "axis, got " + ShapeToString(batch.shape()));
   }
   if (batch.dim(0) == 0) return {};
-  return PredictRows(Features(batch));
+  return PredictRows(PackedFeatures(batch));
 }
 
 double Engine::Evaluate(const nn::Dataset& data) {
@@ -332,7 +325,8 @@ double Engine::Evaluate(const nn::Dataset& data) {
   if (!backend_) {
     return nn::Evaluate(net_, data, config_.batch_size);
   }
-  const std::vector<std::int64_t> preds = PredictRows(Features(data.x));
+  const std::vector<std::int64_t> preds =
+      PredictRows(PackedFeatures(data.x));
   std::int64_t hits = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == data.y[i]) ++hits;

@@ -52,8 +52,9 @@ struct EngineConfig {
   BackendSpec backend;
   /// Registry key used by Deploy() with no argument.
   std::string backend_name = "reference";
-  /// Worker threads for Evaluate/Predict row sharding. Backends that do not
-  /// support concurrent inference are served by one worker regardless.
+  /// Row shards of Evaluate/Predict, run as tasks on the process-wide worker
+  /// pool (engine/worker_pool.h). Backends that do not support concurrent
+  /// inference are served as one shard regardless.
   int threads = 1;
   /// Minibatch size of the float feature-extractor prefix.
   std::int64_t batch_size = 64;
@@ -175,7 +176,7 @@ class Engine {
 
   /// Class predictions for a batch of raw inputs (same layout the network
   /// was trained on). Runs the float prefix in minibatches, then shards
-  /// classifier rows across worker threads. Requires Deploy().
+  /// classifier rows across worker-pool tasks. Requires Deploy().
   std::vector<std::int64_t> Predict(const Tensor& batch);
 
   /// Argmax accuracy over a dataset. After Deploy() this measures the
@@ -242,14 +243,14 @@ class Engine {
   /// FromTrained delegate: pre-trained network, no factory.
   Engine(EngineConfig config, nn::Sequential net, std::size_t classifier_start);
 
-  /// Float feature rows [N, F] of the prefix [0, classifier_start), computed
-  /// in minibatches.
-  Tensor Features(const Tensor& x);
+  /// Sign-packed classifier inputs [N, F]: the float prefix
+  /// [0, classifier_start) runs in minibatches and each minibatch's last
+  /// activation is packed in place.
+  core::BitMatrix PackedFeatures(const Tensor& x) const;
 
-  /// Backend predictions for feature rows: the whole feature set is
-  /// sign-packed once, then served in packed batches — sharded across
-  /// threads when the backend supports concurrent inference.
-  std::vector<std::int64_t> PredictRows(const Tensor& features);
+  /// Backend predictions for packed classifier inputs — sharded across
+  /// RunTasks tasks when the backend supports concurrent inference.
+  std::vector<std::int64_t> PredictRows(const core::BitMatrix& packed);
 
   void RequireTrained(const char* what) const;
 

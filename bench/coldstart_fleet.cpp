@@ -87,7 +87,7 @@ ColdStart MeasureColdStart(const std::string& path,
   for (int i = 0; i < repeats; ++i) {
     const auto start = std::chrono::steady_clock::now();
     engine::Engine engine = engine::Engine::FromArtifact(path, load);
-    engine.config().WithBackend("reference").WithThreads(1);
+    engine.config().WithBackend("reference");
     engine.EnsureDeployed();
     (void)engine.Predict(first_row);
     total += Seconds(start);

@@ -4,6 +4,9 @@
 // array transactions.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/bitgemm.h"
 #include "core/bitops.h"
 #include "core/bnn_program.h"
@@ -63,7 +66,9 @@ void BM_DenseProgramPredict(benchmark::State& state) {
   for (auto& v : xf) v = rng.Normal(0.0f, 1.0f);
   const core::BitVector x = core::BitVector::FromSigns(xf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(program.Predict(x));
+    const std::vector<float> scores = program.Scores(x);
+    benchmark::DoNotOptimize(
+        std::max_element(scores.begin(), scores.end()) - scores.begin());
   }
 }
 BENCHMARK(BM_DenseProgramPredict);

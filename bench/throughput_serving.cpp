@@ -8,21 +8,25 @@
 //   --smoke   small row counts / short timing windows (CI smoke test)
 //   --out     output path of the JSON report (default BENCH_serving.json)
 //
-// The RRAM backends run with zero sense offset (deterministic reads): that
+// The RRAM fabrics run with zero sense offset (deterministic reads): that
 // is the deployment-serving regime in which the sharded backend snapshots
-// each chip's readback planes. The single-fabric "rram" backend always
-// serves through the per-row transaction-level simulation — it is the
-// fidelity substrate the sharded deployment is measured against.
+// each chip's readback planes. The "rram" arm times arch::MappedBnn::Scores
+// row by row on a directly built one-chip fabric — the per-row
+// transaction-level simulation, the fidelity substrate the sharded
+// deployment is measured against. The "reference-row" arm likewise times
+// the argmax of core::BnnProgram::Scores per row (the pre-batching path).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arch/bnn_mapper.h"
 #include "core/bitgemm.h"
 #include "core/bitops.h"
 #include "core/bnn_program.h"
@@ -57,6 +61,12 @@ core::BnnProgram EegGeometryProgram(Rng& rng) {
                                           std::vector<float>(kClasses, 1.0f),
                                           std::vector<float>(kClasses, 0.0f)));
   return program;
+}
+
+/// Index of the first maximum score.
+std::int64_t Argmax(const std::vector<float>& scores) {
+  return std::distance(scores.begin(),
+                       std::max_element(scores.begin(), scores.end()));
 }
 
 struct Result {
@@ -119,12 +129,11 @@ int main(int argc, char** argv) {
 
   // -- reference, legacy per-row serving loop (the pre-batching path) -------
   {
-    auto backend = engine::MakeBackend("reference", program, spec);
     std::vector<std::int64_t> preds(static_cast<std::size_t>(n));
     const double rps = MeasureRowsPerSec(n, min_seconds, [&] {
       for (std::int64_t i = 0; i < n; ++i) {
         const core::BitVector x = core::BitVector::FromSigns(row_span(i));
-        preds[static_cast<std::size_t>(i)] = backend->Predict(x);
+        preds[static_cast<std::size_t>(i)] = Argmax(program.Scores(x));
       }
     });
     results.push_back({"reference-row", 0, 1, rps});
@@ -168,12 +177,12 @@ int main(int argc, char** argv) {
 
   // -- single-fabric rram: per-row transaction-level simulation -------------
   {
-    auto backend = engine::MakeBackend("rram", program, spec);
+    arch::MappedBnn fabric(program, spec.mapper);
     std::vector<std::int64_t> preds(static_cast<std::size_t>(n_rram));
     const double rps = MeasureRowsPerSec(n_rram, min_seconds, [&] {
       for (std::int64_t i = 0; i < n_rram; ++i) {
         const core::BitVector x = core::BitVector::FromSigns(row_span(i));
-        preds[static_cast<std::size_t>(i)] = backend->Predict(x);
+        preds[static_cast<std::size_t>(i)] = Argmax(fabric.Scores(x));
       }
     });
     results.push_back({"rram", 0, 1, rps});

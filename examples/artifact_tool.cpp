@@ -14,7 +14,7 @@
 //       compressed sizes, config, architecture, model).
 //
 //   artifact_tool eval <path> [--task ecg|eeg|image] [--backend NAME|all]
-//                              [--threads N] [--no-mmap]
+//                              [--no-mmap]
 //       loads the artifact with Engine::FromArtifact (no Train/Compile in
 //       this process), regenerates the same seeded validation set, serves
 //       it, and prints the same digest lines.
@@ -96,12 +96,11 @@ int Save(const std::string& path, const std::string& task_name,
 }
 
 int Eval(const std::string& path, const std::string& task_name,
-         const std::string& backend, int threads, bool allow_mmap) {
+         const std::string& backend, bool allow_mmap) {
   serve::DemoTask task = serve::MakeDemoTask(task_name);
   io::LoadArtifactOptions load;
   load.allow_mmap = allow_mmap;
   engine::Engine engine = engine::Engine::FromArtifact(path, load);
-  if (threads > 0) engine.config().WithThreads(threads);
   const io::ArtifactLoadInfo& info = engine.artifact_load_info();
   std::printf(
       "loaded artifact: %s (no Train/Compile in this process; v%u, %s, "
@@ -134,7 +133,7 @@ int Usage() {
                "                [--format v1|v2|v2c]\n"
                "  artifact_tool inspect <path>\n"
                "  artifact_tool eval <path> [--task ecg|eeg|image] "
-               "[--backend NAME|all] [--threads N] [--no-mmap]\n"
+               "[--backend NAME|all] [--no-mmap]\n"
                "  artifact_tool migrate <src> <dst> [--format v1|v2|v2c]\n");
   return 2;
 }
@@ -150,7 +149,6 @@ int main(int argc, char** argv) {
   std::string format = "v2";
   std::string dst;
   std::int64_t epochs = 10;
-  int threads = 0;
   bool allow_mmap = true;
   int flags_from = 3;
   if (command == "migrate") {
@@ -167,8 +165,6 @@ int main(int argc, char** argv) {
       epochs = std::atoll(argv[++i]);
     } else if (arg == "--backend" && has_value) {
       backend = argv[++i];
-    } else if (arg == "--threads" && has_value) {
-      threads = std::atoi(argv[++i]);
     } else if (arg == "--format" && has_value) {
       format = argv[++i];
     } else if (arg == "--no-mmap") {
@@ -185,7 +181,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "eval") {
-      return Eval(path, task, backend, threads, allow_mmap);
+      return Eval(path, task, backend, allow_mmap);
     }
     if (command == "migrate") return Migrate(path, dst, format);
   } catch (const std::exception& e) {

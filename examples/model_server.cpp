@@ -44,7 +44,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: model_server --model NAME=PATH.rbnn [--model NAME=PATH ...]\n"
-      "                    [--backend NAME] [--threads N] [--capacity N]\n"
+      "                    [--backend NAME] [--capacity N]\n"
       "                    [--no-hot-reload] [--resident-mapped] [--no-mmap]\n"
       "                    [--lazy-verify]\n"
       "                    [--health-check-every N] [--drift-ber X]\n"
@@ -58,7 +58,6 @@ int Usage() {
       "default: reads framed requests on stdin, writes responses on stdout\n"
       "  --backend NAME     serve every model on this backend instead of the\n"
       "                     one stored in its artifact\n"
-      "  --threads N        per-model serving thread count override\n"
       "  --capacity N       max resident models (LRU eviction; default 8)\n"
       "  --no-hot-reload    do not watch artifact mtimes\n"
       "  --resident-mapped  mmap-ed models never count against --capacity\n"
@@ -173,8 +172,6 @@ int main(int argc, char** argv) {
       models.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--backend" && has_value) {
       config.backend_override = argv[++i];
-    } else if (arg == "--threads" && has_value) {
-      config.threads_override = std::atoi(argv[++i]);
     } else if (arg == "--capacity" && has_value) {
       config.capacity = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--no-hot-reload") {

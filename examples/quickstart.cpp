@@ -8,7 +8,8 @@
 //   Deploy  -- instantiate an execution backend by name from the registry
 //              ("reference" = exact software, "rram" = simulated 2T2R
 //              fabric with energy accounting, "fault" = BER injection),
-//   Evaluate/Predict -- batched serving, rows sharded across threads.
+//   Evaluate/Predict -- batched serving: the float prefix in minibatches,
+//              then one packed batch through the backend.
 #include <cstdio>
 
 #include "data/ecg_synth.h"
@@ -43,8 +44,7 @@ int main() {
   engine::EngineConfig cfg;
   cfg.WithStrategy(core::BinarizationStrategy::kBinaryClassifier)
       .WithTrain(tc)
-      .WithMapper(mapper)
-      .WithThreads(2);
+      .WithMapper(mapper);
 
   // 3. The engine builds the Table II CNN through this factory.
   engine::Engine eng(cfg, [&](const engine::EngineConfig& ec, Rng& mrng) {

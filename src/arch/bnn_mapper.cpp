@@ -131,11 +131,6 @@ std::vector<float> MappedBnn::Scores(const core::BitVector& x) {
   return program_.ScoresWith(x, oracle);
 }
 
-std::int64_t MappedBnn::Predict(const core::BitVector& x) {
-  const std::vector<float> s = Scores(x);
-  return std::distance(s.begin(), std::max_element(s.begin(), s.end()));
-}
-
 bool MappedBnn::DeterministicReads() const {
   return config_.device.sense_offset_sigma == 0.0;
 }
@@ -253,28 +248,6 @@ std::vector<float> MappedBnn::ScoresBatch(const core::BitMatrix& batch) {
     substrates[l] = {&planes.weights[l], planes.pad_errors[l].data()};
   }
   return program_.ScoresBatch(batch, substrates);
-}
-
-std::vector<std::int64_t> MappedBnn::PredictPacked(
-    const core::BitMatrix& batch) {
-  return core::ArgmaxRows(ScoresBatch(batch), batch.rows(), num_classes());
-}
-
-std::vector<std::int64_t> MappedBnn::PredictBatch(const Tensor& features) {
-  if (features.rank() != 2) {
-    throw std::invalid_argument("MappedBnn::PredictBatch: expected [N, F]");
-  }
-  const std::int64_t n = features.dim(0), f = features.dim(1);
-  if (f != input_size()) {
-    throw std::invalid_argument("MappedBnn::PredictBatch: width mismatch");
-  }
-  std::vector<std::int64_t> preds(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto x = core::BitVector::FromSigns(std::span<const float>(
-        features.data() + i * f, static_cast<std::size_t>(f)));
-    preds[static_cast<std::size_t>(i)] = Predict(x);
-  }
-  return preds;
 }
 
 void MappedBnn::WarmReadback() {

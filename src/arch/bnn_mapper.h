@@ -54,9 +54,6 @@ class MappedBnn {
   /// Class scores computed entirely through array reads.
   std::vector<float> Scores(const core::BitVector& x);
 
-  /// Argmax prediction through the arrays.
-  std::int64_t Predict(const core::BitVector& x);
-
   /// Class scores for a packed batch [N, input_size], row-major
   /// [N, num_classes]. With deterministic senses (DeterministicReads())
   /// this serves through the packed readback snapshot and the bit-plane
@@ -64,12 +61,6 @@ class MappedBnn {
   /// simulation. Either way the result is bit-identical to calling
   /// Scores() row by row.
   std::vector<float> ScoresBatch(const core::BitMatrix& batch);
-
-  /// Argmax per row of a packed batch (first maximum wins, as Predict).
-  std::vector<std::int64_t> PredictPacked(const core::BitMatrix& batch);
-
-  /// Batch prediction over real feature rows [N, F] (binarized by sign).
-  std::vector<std::int64_t> PredictBatch(const Tensor& features);
 
   /// True when every PCSA sense is deterministic (zero sense offset), so
   /// the fabric's read behaviour can be snapshotted into packed bit planes.

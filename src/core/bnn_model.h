@@ -10,7 +10,7 @@
 namespace rrambnn::core {
 
 /// Argmax per row of a row-major [rows, classes] score matrix; the first
-/// maximum wins, matching single-row Predict() everywhere.
+/// maximum wins.
 std::vector<std::int64_t> ArgmaxRows(std::span<const float> scores,
                                      std::int64_t rows, std::int64_t classes);
 

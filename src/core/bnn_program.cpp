@@ -589,11 +589,6 @@ std::vector<float> BnnProgram::ScoresBatch(
   throw std::invalid_argument("BnnProgram: program has no output stage");
 }
 
-std::int64_t BnnProgram::Predict(const BitVector& x) const {
-  const std::vector<float> s = Scores(x);
-  return std::distance(s.begin(), std::max_element(s.begin(), s.end()));
-}
-
 std::vector<std::int64_t> BnnProgram::PredictPacked(
     const BitMatrix& batch) const {
   return ArgmaxRows(ScoresBatch(batch), batch.rows(), num_classes());

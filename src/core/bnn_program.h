@@ -221,7 +221,7 @@ class BnnProgram {
       const BitMatrix& batch,
       std::span<const StageSubstrate> substrates = {}) const;
 
-  std::int64_t Predict(const BitVector& x) const;
+  /// Argmax class per row of a packed batch (first maximum wins).
   std::vector<std::int64_t> PredictPacked(const BitMatrix& batch) const;
   /// Batch prediction over real-valued feature rows [N, input_size]
   /// (CHW-flattened for conv programs): sign-packed in one pass, then

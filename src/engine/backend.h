@@ -1,7 +1,8 @@
 // Execution-backend interface of the serving engine: one trained-and-compiled
 // binarized classifier, many possible execution substrates. A backend answers
-// class scores for packed binary inputs; everything upstream (float feature
-// extractor, batching, threading) is owned by engine::Engine.
+// class scores for a packed batch of binary inputs; everything upstream
+// (float feature extractor, minibatching, sign-packing) is owned by
+// engine::Engine, and any row parallelism lives inside the backend.
 //
 // Implementations (see engine/backends.h):
 //   ReferenceBackend       exact bit-packed software execution of the
@@ -19,7 +20,7 @@
 
 #include "arch/energy_model.h"
 #include "core/bitops.h"
-#include "tensor/tensor.h"
+#include "core/bnn_model.h"
 
 namespace rrambnn::health {
 class BackendHealthAdapter;
@@ -33,7 +34,7 @@ namespace rrambnn::engine {
 struct EnergyBreakdown {
   bool available = false;
   arch::CostReport programming;    // one-time weight programming
-  arch::CostReport per_inference;  // each Scores() call
+  arch::CostReport per_inference;  // each row of a ScoresBatch() call
   double area_mm2 = 0.0;
   std::int64_t num_macros = 0;
 };
@@ -50,43 +51,28 @@ class InferenceBackend {
   virtual std::int64_t input_size() const = 0;
   virtual std::int64_t num_classes() const = 0;
 
-  /// Class scores for one packed binary input.
-  virtual std::vector<float> Scores(const core::BitVector& x) = 0;
-
   /// Class scores for a packed batch [N, input_size], row-major
-  /// [N, num_classes]. The default runs Scores() per row in order.
-  /// Contract: at zero device noise every backend's batch path is
-  /// bit-identical to its per-row path (enforced by
-  /// tests/engine/batch_serving_test.cpp). Backends with per-resource
-  /// stochasticity may route batch rows differently from repeated
-  /// single-row calls — ShardedRramBackend serves Scores() on chip 0 but
-  /// shards a batch across all chips, so at nonzero device noise the two
-  /// paths sample different chips (see its class comment).
-  virtual std::vector<float> ScoresBatch(const core::BitMatrix& batch);
+  /// [N, num_classes] — the backend's one inference operation. Contract: a
+  /// one-row batch is the per-row answer, and at zero device noise row i of
+  /// an N-row batch equals a one-row batch of row i on every backend
+  /// (enforced by tests/engine/batch_serving_test.cpp). Backends with
+  /// per-resource stochasticity may route rows of one batch to different
+  /// resources — ShardedRramBackend serves a one-row batch on its first
+  /// serving chip but shards an N-row batch across all of them, so at
+  /// nonzero device noise the two sample different chips (see its class
+  /// comment).
+  virtual std::vector<float> ScoresBatch(const core::BitMatrix& batch) = 0;
 
-  /// Argmax class for one packed input. Default: argmax of Scores().
-  virtual std::int64_t Predict(const core::BitVector& x);
-
-  /// Argmax class per row of a packed batch (first maximum wins, exactly
-  /// as Predict). Default: argmax over ScoresBatch().
-  virtual std::vector<std::int64_t> PredictPacked(
-      const core::BitMatrix& batch);
-
-  /// Batch prediction over real-valued feature rows [N, F]: the whole batch
-  /// is sign-packed in one pass, then dispatched through PredictPacked().
-  virtual std::vector<std::int64_t> PredictBatch(const Tensor& features);
+  /// Argmax class per row of a packed batch (first maximum wins).
+  std::vector<std::int64_t> PredictPacked(const core::BitMatrix& batch) {
+    return core::ArgmaxRows(ScoresBatch(batch), batch.rows(), num_classes());
+  }
 
   /// One-line human-readable description (substrate, key parameters).
   virtual std::string Describe() const = 0;
 
   /// Deployment/inference cost figures (see EnergyBreakdown).
   virtual EnergyBreakdown EnergyReport() const = 0;
-
-  /// True when Scores() is safe to call from several threads at once and
-  /// each result depends only on the input (no hidden per-call state).
-  /// Engine::Evaluate shards rows across threads only for such backends, so
-  /// the multi-threaded result is identical to the single-threaded one.
-  virtual bool SupportsConcurrentInference() const { return false; }
 
   /// True when the whole serving path (ScoresBatch/PredictPacked) is
   /// read-only: concurrent callers holding only a *shared* lock on the model
@@ -95,8 +81,6 @@ class InferenceBackend {
   /// never lazily under the reader lock. The serving daemon uses this to run
   /// many predicts on one model in parallel; mutating operations (drift
   /// injection, reprogramming, hot reload) still require the exclusive lock.
-  /// Distinct from SupportsConcurrentInference: that one only promises
-  /// per-row Scores() purity for the engine's own worker sharding.
   virtual bool concurrent_readers() const { return false; }
 
   /// Health introspection/healing surface of this backend's physical

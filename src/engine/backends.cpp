@@ -29,10 +29,6 @@ ReferenceBackend::ReferenceBackend(core::BnnProgram program)
   program_.Validate();
 }
 
-std::vector<float> ReferenceBackend::Scores(const core::BitVector& x) {
-  return program_.Scores(x);
-}
-
 std::vector<float> ReferenceBackend::ScoresBatch(
     const core::BitMatrix& batch) {
   return program_.ScoresBatch(batch);
@@ -100,10 +96,6 @@ void FaultInjectionBackend::InjectChipDrift(int chip, double ber,
   CheckChip(chip);
   Rng rng(seed);
   core::InjectWeightFaults(program_, ber, rng);
-}
-
-std::vector<float> FaultInjectionBackend::Scores(const core::BitVector& x) {
-  return program_.Scores(x);
 }
 
 std::vector<float> FaultInjectionBackend::ScoresBatch(
@@ -239,13 +231,6 @@ std::int64_t ShardedRramBackend::input_size() const {
 
 std::int64_t ShardedRramBackend::num_classes() const {
   return shards_.front()->num_classes();
-}
-
-std::vector<float> ShardedRramBackend::Scores(const core::BitVector& x) {
-  for (std::size_t chip = 0; chip < shards_.size(); ++chip) {
-    if (serving_[chip] != 0) return shards_[chip]->Scores(x);
-  }
-  throw std::runtime_error(name_ + ": every chip is routed out of serving");
 }
 
 void ShardedRramBackend::ForEachShard(

@@ -48,11 +48,9 @@ class ReferenceBackend : public InferenceBackend {
   std::string name() const override { return "reference"; }
   std::int64_t input_size() const override { return program_.input_size(); }
   std::int64_t num_classes() const override { return program_.num_classes(); }
-  std::vector<float> Scores(const core::BitVector& x) override;
   std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
   std::string Describe() const override;
   EnergyBreakdown EnergyReport() const override;
-  bool SupportsConcurrentInference() const override { return true; }
   /// The program is immutable: serving is pure, readers never conflict.
   bool concurrent_readers() const override { return true; }
 
@@ -79,11 +77,9 @@ class FaultInjectionBackend : public InferenceBackend,
   std::string name() const override { return "fault"; }
   std::int64_t input_size() const override { return program_.input_size(); }
   std::int64_t num_classes() const override { return program_.num_classes(); }
-  std::vector<float> Scores(const core::BitVector& x) override;
   std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
   std::string Describe() const override;
   EnergyBreakdown EnergyReport() const override;
-  bool SupportsConcurrentInference() const override { return true; }
   /// Pure between health interventions; drift/reprogram mutate the program
   /// and must hold the exclusive serving lock (they do — see
   /// serve/model_server).
@@ -146,20 +142,15 @@ class ShardedRramBackend : public InferenceBackend,
   std::string name() const override { return name_; }
   std::int64_t input_size() const override;
   std::int64_t num_classes() const override;
-  /// Single-row inference is served by the first serving chip.
-  std::vector<float> Scores(const core::BitVector& x) override;
   /// Shards rows across serving chips (contiguous ranges, one task per
   /// occupied chip: the caller serves the first, the process-wide worker
-  /// pool the rest). Chips routed out by the health layer receive no rows.
-  /// PredictPacked is inherited: argmax over this.
+  /// pool the rest), so a one-row batch is served by the first serving chip.
+  /// Chips routed out by the health layer receive no rows.
   std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
   std::string Describe() const override;
   /// Aggregated over chips: programming energy, area and macro count sum;
   /// per-inference cost is per chip (a row is served by exactly one chip).
   EnergyBreakdown EnergyReport() const override;
-  /// The backend parallelizes internally (one task per chip); the engine
-  /// must not also shard rows across threads.
-  bool SupportsConcurrentInference() const override { return false; }
   /// True when every shard has deterministic senses: each chip's batch path
   /// reads its eagerly built readback planes, so whole batches from several
   /// reader threads interleave safely. Routing/drift/reprogram still need

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "engine/worker_pool.h"
 #include "io/artifact.h"
 #include "tensor/stats.h"
 
@@ -62,14 +61,6 @@ EngineConfig& EngineConfig::WithBackend(const std::string& name) {
 
 EngineConfig& EngineConfig::WithBackend(BackendKind kind) {
   backend_name = ToString(kind);
-  return *this;
-}
-
-EngineConfig& EngineConfig::WithThreads(int n) {
-  if (n < 1) {
-    throw std::invalid_argument("EngineConfig::WithThreads: need >= 1 thread");
-  }
-  threads = n;
   return *this;
 }
 
@@ -267,35 +258,12 @@ core::BitMatrix Engine::PackedFeatures(const Tensor& x) const {
 }
 
 std::vector<std::int64_t> Engine::PredictRows(const core::BitMatrix& packed) {
-  const std::int64_t n = packed.rows();
-  const std::int64_t f = packed.cols();
-  if (f != backend_->input_size()) {
+  if (packed.cols() != backend_->input_size()) {
     throw std::invalid_argument(
-        "Engine: feature width " + std::to_string(f) +
+        "Engine: feature width " + std::to_string(packed.cols()) +
         " != backend input size " + std::to_string(backend_->input_size()));
   }
-
-  std::int64_t workers = config_.threads;
-  if (!backend_->SupportsConcurrentInference()) workers = 1;
-  workers = std::clamp<std::int64_t>(workers, 1, std::max<std::int64_t>(n, 1));
-
-  if (workers == 1) {
-    return backend_->PredictPacked(packed);
-  }
-
-  // Each row's prediction is a pure function of the row for concurrent-safe
-  // backends, and tasks own disjoint contiguous shards served as one packed
-  // batch each, so the result is identical for any worker count.
-  std::vector<std::int64_t> preds(static_cast<std::size_t>(n));
-  const std::int64_t chunk = (n + workers - 1) / workers;
-  RunTasks((n + chunk - 1) / chunk, [&](std::int64_t w) {
-    const std::int64_t begin = w * chunk;
-    const std::int64_t end = std::min(n, begin + chunk);
-    const std::vector<std::int64_t> shard =
-        backend_->PredictPacked(packed.RowSlice(begin, end));
-    std::copy(shard.begin(), shard.end(), preds.begin() + begin);
-  });
-  return preds;
+  return backend_->PredictPacked(packed);
 }
 
 std::vector<std::int64_t> Engine::Predict(const Tensor& batch) {
@@ -420,8 +388,6 @@ std::string Engine::Describe() const {
   }
   if (backend_) {
     os << "\n  backend: " << backend_->Describe();
-    os << "\n  threads: " << config_.threads
-       << (backend_->SupportsConcurrentInference() ? "" : " (serialized)");
   }
   return os.str();
 }

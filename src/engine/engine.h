@@ -5,14 +5,15 @@
 // An Engine owns a (partially) binarized network, compiles its classifier
 // into XNOR-popcount form (BN folded into integer thresholds), deploys the
 // compiled program onto a pluggable execution backend selected by name from
-// the BackendRegistry, and serves batched predictions, sharding feature rows
-// across worker threads when the backend allows concurrent inference.
+// the BackendRegistry, and serves batched predictions: the float prefix runs
+// in minibatches, its last activation is sign-packed, and the packed rows go
+// to the backend in one ScoresBatch call (a backend such as "rram-sharded"
+// spreads them over its chips itself).
 //
 //   engine::EngineConfig cfg;
 //   cfg.WithStrategy(core::BinarizationStrategy::kBinaryClassifier)
 //      .WithTrain(tc)
-//      .WithBackend("rram")
-//      .WithThreads(4);
+//      .WithBackend("rram");
 //   engine::Engine eng(cfg, MakeEcgModel);
 //   eng.Train(train, val);
 //   eng.Compile();
@@ -52,10 +53,6 @@ struct EngineConfig {
   BackendSpec backend;
   /// Registry key used by Deploy() with no argument.
   std::string backend_name = "reference";
-  /// Row shards of Evaluate/Predict, run as tasks on the process-wide worker
-  /// pool (engine/worker_pool.h). Backends that do not support concurrent
-  /// inference are served as one shard regardless.
-  int threads = 1;
   /// Minibatch size of the float feature-extractor prefix.
   std::int64_t batch_size = 64;
   /// Seed of the model-building Rng (weight init).
@@ -63,8 +60,8 @@ struct EngineConfig {
   /// Seed of the cross-validation fold split.
   std::uint64_t fold_seed = 1234;
   /// Fleet health estimation/healing policy of the deployed backend (see
-  /// health/health.h). A serving-side concern like `threads`: deliberately
-  /// not stored in `.rbnn` artifacts.
+  /// health/health.h). A serving-side concern: deliberately not stored in
+  /// `.rbnn` artifacts.
   health::HealthPolicy health;
 
   EngineConfig& WithStrategy(core::BinarizationStrategy s);
@@ -76,7 +73,6 @@ struct EngineConfig {
   EngineConfig& WithRramShards(int shards);
   EngineConfig& WithBackend(const std::string& name);
   EngineConfig& WithBackend(BackendKind kind);
-  EngineConfig& WithThreads(int n);
   EngineConfig& WithBatchSize(std::int64_t n);
   EngineConfig& WithModelSeed(std::uint64_t seed);
   EngineConfig& WithHealthPolicy(const health::HealthPolicy& p);
@@ -119,7 +115,7 @@ class Engine {
   /// Train() or Compile() in the process — the serve half of the
   /// train-once / serve-anywhere lifecycle. The first overload serves under
   /// the configuration stored in the artifact; the second replaces it with
-  /// `config` (e.g. a server's thread count or backend choice) while keeping
+  /// `config` (e.g. a server's backend choice) while keeping
   /// the stored network and compiled program. Throws std::runtime_error for
   /// missing/corrupt/version-mismatched files. The overloads taking
   /// io::LoadArtifactOptions control the zero-copy path: a v2 artifact is
@@ -175,13 +171,13 @@ class Engine {
   // -- Serving --------------------------------------------------------------
 
   /// Class predictions for a batch of raw inputs (same layout the network
-  /// was trained on). Runs the float prefix in minibatches, then shards
-  /// classifier rows across worker-pool tasks. Requires Deploy().
+  /// was trained on). Runs the float prefix in minibatches, then serves the
+  /// packed classifier rows as one backend batch. Requires Deploy().
   std::vector<std::int64_t> Predict(const Tensor& batch);
 
   /// Argmax accuracy over a dataset. After Deploy() this measures the
   /// deployed pipeline (prefix + backend); before Deploy() it measures the
-  /// trained float network. Thread count never changes the result.
+  /// trained float network.
   double Evaluate(const nn::Dataset& data);
 
   /// Trains a fresh model per fold (stratified k-fold) and reports the
@@ -248,8 +244,8 @@ class Engine {
   /// activation is packed in place.
   core::BitMatrix PackedFeatures(const Tensor& x) const;
 
-  /// Backend predictions for packed classifier inputs — sharded across
-  /// RunTasks tasks when the backend supports concurrent inference.
+  /// Backend predictions for packed classifier inputs, after checking their
+  /// width against the backend's.
   std::vector<std::int64_t> PredictRows(const core::BitMatrix& packed);
 
   void RequireTrained(const char* what) const;

@@ -30,7 +30,7 @@ std::string ToString(ChipState state);
 
 /// Knobs of the estimation/healing loop (engine::EngineConfig carries one;
 /// it is a serving-side concern and is deliberately not stored in `.rbnn`
-/// artifacts, like thread counts).
+/// artifacts).
 struct HealthPolicy {
   /// Weight of the newest raw observation in the EWMA (1.0 = no smoothing).
   double ewma_alpha = 0.5;

@@ -113,7 +113,7 @@ std::vector<std::uint8_t> BuildConfigChunk(const engine::EngineConfig& config,
   ByteWriter w;
   w.WriteU8(static_cast<std::uint8_t>(config.strategy));
   w.WriteString(config.backend_name);
-  w.WriteI32(config.threads);
+  w.WriteI32(1);  // reserved slot: keeps the layout and saved bytes stable
   w.WriteI64(config.batch_size);
   w.WriteU64(config.model_seed);
   w.WriteU64(config.fold_seed);
@@ -143,7 +143,7 @@ void ParseConfigChunk(const std::vector<std::uint8_t>& payload,
   }
   config.strategy = static_cast<core::BinarizationStrategy>(strategy);
   config.backend_name = r.ReadString();
-  config.threads = r.ReadI32();
+  const std::int32_t reserved = r.ReadI32();
   config.batch_size = r.ReadI64();
   config.model_seed = r.ReadU64();
   config.fold_seed = r.ReadU64();
@@ -157,10 +157,10 @@ void ParseConfigChunk(const std::vector<std::uint8_t>& payload,
   config.backend.fault_ber = r.ReadF64();
   config.backend.fault_seed = r.ReadU64();
   config.backend.rram_shards = r.ReadI32();
-  if (config.threads < 1 || config.batch_size < 1 ||
+  if (reserved < 1 || config.batch_size < 1 ||
       config.backend.rram_shards < 1) {
     throw std::runtime_error(
-        "artifact corrupt: non-positive threads/batch_size/rram_shards");
+        "artifact corrupt: non-positive reserved/batch_size/rram_shards");
   }
   r.ExpectExhausted();
 }
@@ -400,7 +400,6 @@ std::string DescribeArtifact(const std::string& path) {
   }
   os << "config: strategy=" << core::ToString(artifact.config.strategy)
      << ", backend=" << artifact.config.backend_name
-     << ", threads=" << artifact.config.threads
      << ", batch_size=" << artifact.config.batch_size
      << ", rram_shards=" << artifact.config.backend.rram_shards << "\n";
   os << "mapper: " << artifact.config.backend.mapper.macro_rows << "x"

@@ -5,7 +5,8 @@
 // deployed Engine without calling Train() or Compile():
 //
 //   chunk "engine-config"  serving-relevant EngineConfig fields: strategy,
-//                          default backend name, threads, prefix batch size,
+//                          default backend name, a reserved i32 (written as
+//                          1, must be >= 1 on load), prefix batch size,
 //                          the full BackendSpec (mapper geometry, device and
 //                          energy parameters, fault BER/seed, shard count)
 //                          and the classifier split index

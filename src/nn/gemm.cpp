@@ -4,7 +4,6 @@ namespace rrambnn::nn {
 
 void GemmAccumulate(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n) {
-#pragma omp parallel for if (m * n * k > 1 << 18) schedule(static)
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     const float* arow = a + i * k;
@@ -19,7 +18,6 @@ void GemmAccumulate(const float* a, const float* b, float* c, std::int64_t m,
 
 void GemmTransAAccumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
-#pragma omp parallel for if (m * n * k > 1 << 18) schedule(static)
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     for (std::int64_t kk = 0; kk < k; ++kk) {
@@ -33,7 +31,6 @@ void GemmTransAAccumulate(const float* a, const float* b, float* c,
 
 void GemmTransBAccumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
-#pragma omp parallel for if (m * n * k > 1 << 18) schedule(static)
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     const float* arow = a + i * k;

@@ -1,5 +1,5 @@
 // Small GEMM kernels used by dense and (via im2col) convolutional layers.
-// Plain loops in ikj order with optional OpenMP over output rows; fast
+// Plain single-threaded loops in ikj order over output rows; fast
 // enough for the scaled experiment sizes this library trains on a CPU.
 #pragma once
 

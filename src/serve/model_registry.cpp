@@ -116,10 +116,6 @@ ModelRegistry::ModelRegistry(RegistryConfig config)
   if (config_.capacity < 1) {
     throw std::invalid_argument("ModelRegistry: capacity must be >= 1");
   }
-  if (config_.threads_override < 0) {
-    throw std::invalid_argument("ModelRegistry: threads_override must be "
-                                ">= 0 (0 = keep the artifact's setting)");
-  }
 }
 
 void ModelRegistry::Register(const std::string& name,
@@ -258,9 +254,6 @@ std::shared_ptr<ServedModel> ModelRegistry::LoadLocked(const std::string& name,
                                                        config_.load);
   if (!config_.backend_override.empty()) {
     engine.config().WithBackend(config_.backend_override);
-  }
-  if (config_.threads_override > 0) {
-    engine.config().WithThreads(config_.threads_override);
   }
   engine.EnsureDeployed();
   ++loads_;

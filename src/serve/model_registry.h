@@ -39,8 +39,6 @@ struct RegistryConfig {
   /// Non-empty: serve every model on this backend instead of the one stored
   /// in its artifact ("reference", "rram", "rram-sharded", "fault").
   std::string backend_override;
-  /// > 0: override the per-model serving thread count from the artifact.
-  int threads_override = 0;
   /// Thousands-resident fleet mode: models whose bulk data is mmap-ed
   /// (ArtifactLoadMode::kMapped) do not count against `capacity` and are
   /// never LRU-evicted — their bit planes live in the kernel page cache

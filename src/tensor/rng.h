@@ -36,19 +36,21 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(0, n - 1)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation. One standard
+  /// normal draw scaled and shifted, the formula std::normal_distribution
+  /// applies itself (same values, same engine advance), so stddev = 0 is
+  /// legal and returns the mean; the distribution type requires stddev > 0.
   float Normal(float mean = 0.0f, float stddev = 1.0f) {
-    return std::normal_distribution<float>(mean, stddev)(engine_);
+    return std::normal_distribution<float>()(engine_) * stddev + mean;
   }
 
   double NormalDouble(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   /// Log-normal: exp(N(log_mean, log_sigma)) — resistance distributions.
   double LogNormal(double log_mean, double log_sigma) {
-    return std::exp(
-        std::normal_distribution<double>(log_mean, log_sigma)(engine_));
+    return std::exp(NormalDouble(log_mean, log_sigma));
   }
 
   /// True with probability p.

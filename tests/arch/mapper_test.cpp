@@ -86,7 +86,7 @@ TEST_P(MapperTiling, BitExactAtZeroError) {
       EXPECT_FLOAT_EQ(sw[k], hw[k]) << "tile " << GetParam().rows << "x"
                                     << GetParam().cols << " trial " << trial;
     }
-    EXPECT_EQ(program.Predict(x), mapped.Predict(x));
+    EXPECT_EQ(core::ArgmaxRows(sw, 1, 4), core::ArgmaxRows(hw, 1, 4));
   }
 }
 
@@ -146,7 +146,7 @@ TEST(MappedBnn, AgedUnrefreshedFabricDegradesGracefully) {
   for (std::int64_t i = 0; i < 128; ++i) {
     x.Set(i, rng.Bernoulli(0.5) ? +1 : -1);
   }
-  const std::int64_t pred = mapped.Predict(x);
+  const std::int64_t pred = core::ArgmaxRows(mapped.Scores(x), 1, 2)[0];
   EXPECT_GE(pred, 0);
   EXPECT_LT(pred, 2);
 }
@@ -254,7 +254,8 @@ TEST(MappedBnn, InputWidthValidated) {
   cfg.device = IdealDevice();
   MappedBnn mapped(program, cfg);
   EXPECT_THROW(mapped.Scores(core::BitVector(63)), std::invalid_argument);
-  EXPECT_THROW(mapped.PredictBatch(Tensor({2, 63})), std::invalid_argument);
+  EXPECT_THROW(mapped.ScoresBatch(core::BitMatrix(2, 63)),
+               std::invalid_argument);
 }
 
 }  // namespace

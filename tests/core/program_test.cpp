@@ -337,10 +337,12 @@ TEST(Program, NanAndNegativeZeroRowsFollowSignConvention) {
   EXPECT_EQ(batch_preds[2], control_preds[1]) << "NaN must predict as -1";
 
   // The per-row packed path answers identically to the batched path.
+  const std::int64_t classes = program.num_classes();
   for (std::int64_t i = 0; i < 3; ++i) {
     const BitVector xb = BitVector::FromSigns(std::span<const float>(
         features.data() + i * f, static_cast<std::size_t>(f)));
-    EXPECT_EQ(program.Predict(xb), batch_preds[static_cast<std::size_t>(i)])
+    EXPECT_EQ(core::ArgmaxRows(program.Scores(xb), 1, classes)[0],
+              batch_preds[static_cast<std::size_t>(i)])
         << "row " << i;
   }
 }

@@ -84,21 +84,25 @@ TEST_F(TrainedEcgEngine, AllBackendsBitExactAtZeroErrorRate) {
 
   const Tensor features = Features();
   const std::int64_t f = features.dim(1);
-  for (std::int64_t i = 0; i < features.dim(0); ++i) {
-    const core::BitVector x = core::BitVector::FromSigns(
-        std::span<const float>(features.data() + i * f,
-                               static_cast<std::size_t>(f)));
-    const std::vector<float> ref = reference->Scores(x);
-    const std::vector<float> hw = rram->Scores(x);
-    const std::vector<float> sw = fault->Scores(x);
+  const core::BitMatrix packed = core::BitMatrix::FromSignRows(
+      std::span<const float>(features.data(),
+                             static_cast<std::size_t>(features.size())),
+      features.dim(0), f);
+  for (std::int64_t i = 0; i < packed.rows(); ++i) {
+    const core::BitMatrix x = packed.RowSlice(i, i + 1);
+    const std::vector<float> ref = reference->ScoresBatch(x);
+    const std::vector<float> hw = rram->ScoresBatch(x);
+    const std::vector<float> sw = fault->ScoresBatch(x);
     ASSERT_EQ(ref.size(), hw.size());
     ASSERT_EQ(ref.size(), sw.size());
     for (std::size_t k = 0; k < ref.size(); ++k) {
       EXPECT_EQ(ref[k], hw[k]) << "rram score, row " << i << " class " << k;
       EXPECT_EQ(ref[k], sw[k]) << "fault score, row " << i << " class " << k;
     }
-    EXPECT_EQ(reference->Predict(x), rram->Predict(x)) << "row " << i;
-    EXPECT_EQ(reference->Predict(x), fault->Predict(x)) << "row " << i;
+    EXPECT_EQ(reference->PredictPacked(x), rram->PredictPacked(x))
+        << "row " << i;
+    EXPECT_EQ(reference->PredictPacked(x), fault->PredictPacked(x))
+        << "row " << i;
   }
 }
 

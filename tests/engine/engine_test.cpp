@@ -212,65 +212,16 @@ TEST(EngineConfig, BuilderChainsAndValidates) {
   EngineConfig cfg;
   cfg.WithStrategy(core::BinarizationStrategy::kFullBinary)
       .WithBackend(BackendKind::kRram)
-      .WithThreads(4)
       .WithBatchSize(128)
       .WithFaultBer(1e-3, 7)
       .WithModelSeed(11);
   EXPECT_EQ(cfg.strategy, core::BinarizationStrategy::kFullBinary);
   EXPECT_EQ(cfg.backend_name, "rram");
-  EXPECT_EQ(cfg.threads, 4);
   EXPECT_EQ(cfg.batch_size, 128);
   EXPECT_EQ(cfg.backend.fault_ber, 1e-3);
   EXPECT_EQ(cfg.backend.fault_seed, 7u);
   EXPECT_EQ(cfg.model_seed, 11u);
-  EXPECT_THROW(cfg.WithThreads(0), std::invalid_argument);
   EXPECT_THROW(cfg.WithBatchSize(0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Threading determinism
-// ---------------------------------------------------------------------------
-
-TEST(Engine, MultiThreadedEvaluateMatchesSingleThreaded) {
-  Rng rng(4);
-  const nn::Dataset data = RandomData(101, rng);  // odd size: ragged shards
-  for (const char* backend : {"reference", "fault"}) {
-    Engine single = MakeTrainedEngine();
-    single.config().WithThreads(1);
-    single.Deploy(backend);
-    const double acc1 = single.Evaluate(data);
-    const auto preds1 = single.Predict(data.x);
-    for (const int threads : {2, 4, 7}) {
-      Engine multi = MakeTrainedEngine();
-      multi.config().WithThreads(threads);
-      multi.Deploy(backend);
-      EXPECT_EQ(multi.Evaluate(data), acc1)
-          << backend << " threads=" << threads;
-      EXPECT_EQ(multi.Predict(data.x), preds1)
-          << backend << " threads=" << threads;
-    }
-  }
-}
-
-/// Edge geometries of the sharded serving path: fewer rows than workers
-/// (workers are clamped, no empty shard is ever dispatched), a single row,
-/// and two rows over many threads (maximally ragged shards).
-TEST(Engine, PredictRowsEdgeGeometriesMatchSingleThreaded) {
-  Rng rng(9);
-  for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{2},
-                                  std::int64_t{3}}) {
-    const nn::Dataset data = RandomData(rows, rng);
-    Engine single = MakeTrainedEngine();
-    single.config().WithThreads(1);
-    single.Deploy("reference");
-    const auto preds1 = single.Predict(data.x);
-    ASSERT_EQ(preds1.size(), static_cast<std::size_t>(rows));
-
-    Engine multi = MakeTrainedEngine();
-    multi.config().WithThreads(8);  // threads > rows
-    multi.Deploy("reference");
-    EXPECT_EQ(multi.Predict(data.x), preds1) << "rows=" << rows;
-  }
 }
 
 /// An empty RowSlice(begin, begin) is a legal packed batch: backends answer
@@ -290,27 +241,6 @@ TEST(Engine, EmptyRowSliceServesAsEmptyBatch) {
   EXPECT_EQ(empty.cols(), kIn);
   EXPECT_TRUE(eng.backend().PredictPacked(empty).empty());
   EXPECT_TRUE(eng.backend().ScoresBatch(empty).empty());
-}
-
-TEST(Engine, RramSerializedButThreadCountStillHarmless) {
-  Rng rng(6);
-  const nn::Dataset data = RandomData(30, rng);
-  rram::DeviceParams ideal;
-  ideal.sense_offset_sigma = 0.0;
-  ideal.weak_prob_ref = 0.0;
-
-  EngineConfig cfg;
-  cfg.WithDevice(ideal);
-  Engine single = MakeTrainedEngine(cfg);
-  single.config().WithThreads(1);
-  single.Deploy("rram");
-  EXPECT_FALSE(single.backend().SupportsConcurrentInference());
-  const double acc1 = single.Evaluate(data);
-
-  Engine multi = MakeTrainedEngine(cfg);
-  multi.config().WithThreads(8);
-  multi.Deploy("rram");
-  EXPECT_EQ(multi.Evaluate(data), acc1);
 }
 
 // ---------------------------------------------------------------------------

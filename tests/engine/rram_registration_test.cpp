@@ -96,14 +96,14 @@ void ExpectSameEnergy(const InferenceBackend& a, const InferenceBackend& b) {
   EXPECT_EQ(ea.num_macros, eb.num_macros);
 }
 
-/// Batch scores, then per-row scores, in the same call order on both.
+/// The whole batch, then one-row batches, in the same call order on both.
 void ExpectSameScores(InferenceBackend& a, InferenceBackend& b,
                       const core::BitMatrix& batch) {
   EXPECT_EQ(a.ScoresBatch(batch), b.ScoresBatch(batch));
-  core::BitVector x;
   for (std::int64_t i = 0; i < batch.rows(); ++i) {
-    batch.ExtractRow(i, x);
-    EXPECT_EQ(a.Scores(x), b.Scores(x)) << "row " << i;
+    EXPECT_EQ(a.ScoresBatch(batch.RowSlice(i, i + 1)),
+              b.ScoresBatch(batch.RowSlice(i, i + 1)))
+        << "row " << i;
   }
 }
 
@@ -121,7 +121,6 @@ void ExpectSameCapabilities(InferenceBackend& a, InferenceBackend& b) {
   EXPECT_EQ(a.name(), "rram");
   EXPECT_EQ(a.input_size(), b.input_size());
   EXPECT_EQ(a.num_classes(), b.num_classes());
-  EXPECT_EQ(a.SupportsConcurrentInference(), b.SupportsConcurrentInference());
   EXPECT_EQ(a.concurrent_readers(), b.concurrent_readers());
   ASSERT_NE(a.health_adapter(), nullptr);
   ASSERT_NE(b.health_adapter(), nullptr);

@@ -1,5 +1,5 @@
-// The process-wide worker pool behind the rram-sharded chip fan-out and
-// Engine row sharding: every task runs exactly once, a one-task call never
+// The process-wide worker pool behind the rram-sharded chip fan-out: every
+// task runs exactly once, a one-task call never
 // leaves the caller, exceptions from pool threads reach the caller, nested
 // calls finish, and concurrent ScoresBatch calls on one sharded backend
 // give the serial answers, with and without a chip routed out.

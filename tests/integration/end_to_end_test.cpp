@@ -3,6 +3,9 @@
 // the tests that tie the whole reproduction together.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "arch/bnn_mapper.h"
 #include "core/compile.h"
 #include "core/fault_injection.h"
@@ -57,6 +60,14 @@ Tensor Features(TrainedEcg& t) {
   return features;
 }
 
+/// Sign-packed [N, F] feature rows.
+core::BitMatrix Packed(const Tensor& features) {
+  return core::BitMatrix::FromSignRows(
+      std::span<const float>(features.data(),
+                             static_cast<std::size_t>(features.size())),
+      features.dim(0), features.dim(1));
+}
+
 /// Validation accuracy of the hybrid pipeline: float feature prefix, then
 /// the compiled binary classifier.
 double PipelineAccuracy(TrainedEcg& t, const core::BnnProgram& classifier) {
@@ -87,10 +98,9 @@ TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
   mc.device.sense_offset_sigma = 0.0;
   mc.device.weak_prob_ref = 0.0;
   arch::MappedBnn mapped(compiled, mc);
-  const Tensor features = Features(t);
-  const auto sw = compiled.PredictBatch(features);
-  const auto hw = mapped.PredictBatch(features);
-  EXPECT_EQ(sw, hw) << "mapped fabric must be bit-exact at zero error";
+  const core::BitMatrix packed = Packed(Features(t));
+  EXPECT_EQ(compiled.ScoresBatch(packed), mapped.ScoresBatch(packed))
+      << "mapped fabric must be bit-exact at zero error";
 }
 
 TEST(EndToEnd, FaultInjectionDegradesGracefullyAtRealisticBer) {
@@ -160,7 +170,9 @@ TEST(EndToEnd, AgedFabricWithRefreshKeepsWorking) {
   mc.device = rram::DeviceParams{};
   mc.pre_stress_cycles = static_cast<std::uint64_t>(3e8);
   arch::MappedBnn mapped(compiled, mc);
-  const auto preds = mapped.PredictBatch(Features(t));
+  const core::BitMatrix packed = Packed(Features(t));
+  const std::vector<std::int64_t> preds = core::ArgmaxRows(
+      mapped.ScoresBatch(packed), packed.rows(), compiled.num_classes());
   std::int64_t hits = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {
     if (preds[i] == t.val.y[i]) ++hits;

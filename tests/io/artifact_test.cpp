@@ -7,6 +7,7 @@
 // while staying reproducible.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -122,7 +123,6 @@ TEST_F(SavedEcgArtifact, ConfigFieldsRoundTrip) {
   const EngineConfig& cfg = loaded.config();
   EXPECT_EQ(cfg.strategy, core::BinarizationStrategy::kBinaryClassifier);
   EXPECT_EQ(cfg.backend_name, engine_->config().backend_name);
-  EXPECT_EQ(cfg.threads, engine_->config().threads);
   EXPECT_EQ(cfg.batch_size, engine_->config().batch_size);
   EXPECT_EQ(cfg.backend.rram_shards, 2);
   EXPECT_EQ(cfg.backend.fault_ber, 1e-3);
@@ -276,21 +276,62 @@ TEST_F(SavedEcgArtifact, ConcurrentLoadsServeIdenticalPredictions) {
   }
 }
 
-TEST_F(SavedEcgArtifact, ThreadCountNeverChangesLoadedResults) {
-  Engine loaded1 = Engine::FromArtifact(file_->path());
-  loaded1.Deploy("reference");
-  const std::vector<std::int64_t> preds1 = loaded1.Predict(data_->x);
+/// Copies the v1 artifact at `src` to `dst` with `value` in the
+/// engine-config i32 that follows the strategy byte and the backend-name
+/// string (u64 length + bytes). The slot once held the engine thread count
+/// and is reserved now; returns the value it held.
+std::int32_t RewriteReservedConfigSlot(const std::string& src,
+                                       const std::string& dst,
+                                       std::int32_t value) {
+  std::vector<io::Chunk> chunks = io::ReadChunkFile(src);
+  std::int32_t old = 0;
+  for (io::Chunk& chunk : chunks) {
+    if (chunk.tag != "engine-config") continue;
+    std::uint64_t name_bytes = 0;
+    for (int i = 0; i < 8; ++i) {
+      name_bytes |= static_cast<std::uint64_t>(chunk.payload[1 + i]) << (8 * i);
+    }
+    const std::size_t slot = 1 + 8 + static_cast<std::size_t>(name_bytes);
+    std::uint32_t bits = 0;
+    for (int i = 0; i < 4; ++i) {
+      bits |= static_cast<std::uint32_t>(chunk.payload[slot + i]) << (8 * i);
+      chunk.payload[slot + i] = static_cast<std::uint8_t>(
+          static_cast<std::uint32_t>(value) >> (8 * i));
+    }
+    old = static_cast<std::int32_t>(bits);
+  }
+  io::WriteChunkFile(dst, chunks);
+  return old;
+}
 
-  EngineConfig cfg = loaded1.config();
-  cfg.WithThreads(3);
-  Engine loaded3 = Engine::FromArtifact(file_->path(), cfg);
-  loaded3.Deploy("reference");
-  EXPECT_EQ(loaded3.Predict(data_->x), preds1);
+TEST_F(SavedEcgArtifact, ReservedConfigSlotValidatedThenIgnored) {
+  TempFile original("reserved_v1.rbnn"), three("reserved_3.rbnn"),
+      zero("reserved_0.rbnn");
+  engine_->SaveArtifact(original.path(), {io::kFormatVersion, false});
+  EXPECT_EQ(RewriteReservedConfigSlot(original.path(), three.path(), 3), 1);
+  for (const std::string backend :
+       {"reference", "fault", "rram", "rram-sharded"}) {
+    Engine expected = Engine::FromArtifact(original.path());
+    expected.Deploy(backend);
+    Engine loaded = Engine::FromArtifact(three.path());
+    loaded.Deploy(backend);
+    EXPECT_EQ(loaded.Predict(data_->x), expected.Predict(data_->x))
+        << backend;
+  }
+  (void)RewriteReservedConfigSlot(original.path(), zero.path(), 0);
+  try {
+    (void)Engine::FromArtifact(zero.path());
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("artifact corrupt"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SavedEcgArtifact, ConfigOverrideControlsServing) {
   EngineConfig cfg = Engine::FromArtifact(file_->path()).config();
-  cfg.WithBackend("fault").WithThreads(2);
+  cfg.WithBackend("fault");
   Engine loaded = Engine::FromArtifact(file_->path(), cfg);
   EXPECT_EQ(loaded.Deploy().name(), "fault");
 }

@@ -1,6 +1,6 @@
 // Concurrent serving under the reader/writer serve locks: predicts on one
 // model overlap when the backend declares concurrent_readers() (asserted
-// through an instrumented backend that counts in-flight PredictPacked
+// through an instrumented backend that counts in-flight ScoresBatch
 // calls), stay bit-identical while an operator thread holding the
 // exclusive lock injects drift and heals the fabric between them, and the
 // read-only fast path stays off for backends with health hooks configured
@@ -35,17 +35,16 @@ Request PredictRequest(std::uint64_t id, const std::string& model,
 }
 
 /// Gauge shared by every InstrumentedBackend in this binary: how many
-/// PredictPacked calls are inside the backend right now, and the highest
+/// ScoresBatch calls are inside the backend right now, and the highest
 /// the gauge ever read. Overlap is the whole point — under the old
 /// per-model std::mutex the maximum could never exceed 1.
 std::atomic<int> g_in_flight{0};
 std::atomic<int> g_max_in_flight{0};
 
-/// A reference backend that holds each PredictPacked open long enough for
-/// concurrent callers to pile up on the gauge. Deliberately *not*
-/// SupportsConcurrentInference: the engine then serves each predict as one
-/// whole PredictPacked call, so the gauge counts request-level overlap
-/// (distinct Handle() callers), not the engine's own row sharding.
+/// A reference backend that holds each ScoresBatch open long enough for
+/// concurrent callers to pile up on the gauge. The engine serves each
+/// predict as one whole ScoresBatch call, so the gauge counts request-level
+/// overlap (distinct Handle() callers).
 class InstrumentedBackend : public engine::InferenceBackend {
  public:
   explicit InstrumentedBackend(core::BnnProgram program)
@@ -54,17 +53,13 @@ class InstrumentedBackend : public engine::InferenceBackend {
   std::string name() const override { return "instrumented"; }
   std::int64_t input_size() const override { return inner_.input_size(); }
   std::int64_t num_classes() const override { return inner_.num_classes(); }
-  std::vector<float> Scores(const core::BitVector& x) override {
-    return inner_.Scores(x);
-  }
-  std::vector<std::int64_t> PredictPacked(
-      const core::BitMatrix& batch) override {
+  std::vector<float> ScoresBatch(const core::BitMatrix& batch) override {
     const int now = g_in_flight.fetch_add(1) + 1;
     int seen = g_max_in_flight.load();
     while (now > seen && !g_max_in_flight.compare_exchange_weak(seen, now)) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    std::vector<std::int64_t> result = inner_.PredictPacked(batch);
+    std::vector<float> result = inner_.ScoresBatch(batch);
     g_in_flight.fetch_sub(1);
     return result;
   }

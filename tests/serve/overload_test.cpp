@@ -39,7 +39,7 @@ Request PredictRequest(std::uint64_t id, const std::string& model,
   return request;
 }
 
-/// A reference backend that holds each PredictPacked open long enough for
+/// A reference backend that holds each ScoresBatch open long enough for
 /// concurrent callers to pile up against the admission caps.
 class SlowBackend : public engine::InferenceBackend {
  public:
@@ -47,13 +47,9 @@ class SlowBackend : public engine::InferenceBackend {
   std::string name() const override { return "slow"; }
   std::int64_t input_size() const override { return inner_.input_size(); }
   std::int64_t num_classes() const override { return inner_.num_classes(); }
-  std::vector<float> Scores(const core::BitVector& x) override {
-    return inner_.Scores(x);
-  }
-  std::vector<std::int64_t> PredictPacked(
-      const core::BitMatrix& batch) override {
+  std::vector<float> ScoresBatch(const core::BitMatrix& batch) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    return inner_.PredictPacked(batch);
+    return inner_.ScoresBatch(batch);
   }
   std::string Describe() const override { return "slow reference"; }
   engine::EnergyBreakdown EnergyReport() const override {

@@ -61,9 +61,6 @@ TEST(ModelRegistry, ConfigValidated) {
   RegistryConfig bad_capacity;
   bad_capacity.capacity = 0;
   EXPECT_THROW(ModelRegistry{bad_capacity}, std::invalid_argument);
-  RegistryConfig bad_threads;
-  bad_threads.threads_override = -1;
-  EXPECT_THROW(ModelRegistry{bad_threads}, std::invalid_argument);
   EXPECT_THROW(ModelRegistry{}.Register("", "x.rbnn"), std::invalid_argument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "tensor/stats.h"
 
 namespace rrambnn {
@@ -74,6 +77,42 @@ TEST(Rng, LogNormalMedian) {
   std::vector<double> xs(20001);
   for (auto& x : xs) x = rng.LogNormal(std::log(1000.0), 0.5);
   EXPECT_NEAR(Percentile(xs, 50.0), 1000.0, 50.0);
+}
+
+TEST(Rng, ZeroSigmaNormalReturnsMeanAndAdvancesLikeUnitSigma) {
+  Rng zero(31), unit(31);
+  for (int i = 0; i < 200; ++i) {
+    const float m = 0.25f * static_cast<float>(i % 9) - 1.0f;
+    EXPECT_EQ(zero.Normal(m, 0.0f), m);
+    (void)unit.Normal(m, 1.0f);
+    EXPECT_EQ(zero.NormalDouble(-2.5, 0.0), -2.5);
+    (void)unit.NormalDouble(-2.5, 1.0);
+    EXPECT_EQ(zero.LogNormal(0.5, 0.0), std::exp(0.5));
+    (void)unit.LogNormal(0.5, 1.0);
+  }
+  // Both generators consumed the same engine draws.
+  EXPECT_EQ(zero.engine()(), unit.engine()());
+}
+
+TEST(Rng, NormalMatchesStdNormalDistribution) {
+  // Each Rng call is one fresh std::normal_distribution draw of the caller's
+  // (mean, stddev), value for value.
+  Rng rng(37);
+  std::mt19937_64 twin(37);
+  for (int i = 0; i < 20000; ++i) {
+    const float m = 0.5f * static_cast<float>(i % 7) - 1.5f;
+    const float s = 0.1f + 0.3f * static_cast<float>(i % 5);
+    ASSERT_EQ(rng.Normal(m, s), std::normal_distribution<float>(m, s)(twin))
+        << "float draw " << i;
+    const double md = 1e-3 * static_cast<double>(i % 11) - 4.0;
+    const double sd = 0.05 + 0.7 * static_cast<double>(i % 3);
+    ASSERT_EQ(rng.NormalDouble(md, sd),
+              std::normal_distribution<double>(md, sd)(twin))
+        << "double draw " << i;
+    ASSERT_EQ(rng.LogNormal(md, sd),
+              std::exp(std::normal_distribution<double>(md, sd)(twin)))
+        << "log-normal draw " << i;
+  }
 }
 
 TEST(Rng, BernoulliFrequency) {

@@ -1,7 +1,9 @@
 #include "arch/bnn_mapper.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "core/bitgemm.h"
 #include "core/fault_injection.h"
@@ -79,6 +81,12 @@ MappedBnn::MappedLayer MappedBnn::MapMatrix(const core::BitMatrix& weights) {
       layer.macros.push_back(std::move(macro));
     }
   }
+  layer.drift_parity.assign(
+      static_cast<std::size_t>(CeilDiv(
+          static_cast<std::int64_t>(layer.macros.size()) * config_.macro_rows *
+              config_.macro_cols,
+          64)),
+      0);
   return layer;
 }
 
@@ -254,24 +262,81 @@ void MappedBnn::WarmReadback() {
   if (DeterministicReads()) Planes();
 }
 
-void MappedBnn::InjectDrift(double ber, Rng& rng) {
-  planes_.reset();  // device state changes: the readback planes are stale
+void MappedBnn::FlipSite(std::size_t gemm_index, std::int64_t m,
+                         std::int64_t r, std::int64_t c) {
+  MappedLayer& layer = layers_[gemm_index];
+  const std::int64_t bit =
+      (m * config_.macro_rows + r) * config_.macro_cols + c;
+  layer.drift_parity[static_cast<std::size_t>(bit / 64)] ^= 1ull << (bit % 64);
+  const int sensed =
+      layer.macros[static_cast<std::size_t>(m)]->array().DriftFlip(r, c);
+  if (sensed == 0) return;  // equal resistances: the sense did not change
   snapshot_.reset();
-  for (auto& layer : layers_) {
-    for (auto& macro : layer.macros) {
-      rram::RramArray& array = macro->array();
+  if (!planes_) return;
+  // Rows past the region's edge are never read; the planes hold the rest.
+  const std::int64_t row = (m / layer.col_tiles) * config_.macro_rows + r;
+  if (row >= layer.out_features) return;
+  const std::int64_t col = (m % layer.col_tiles) * config_.macro_cols + c;
+  if (col < layer.in_features) {
+    planes_->weights[gemm_index].Set(row, col, sensed);
+  } else {
+    // A padding cell adds to its row's popcount only while it senses -1.
+    planes_->pad_errors[gemm_index][static_cast<std::size_t>(row)] +=
+        sensed == -1 ? 1 : -1;
+  }
+}
+
+void MappedBnn::InjectDrift(double ber, Rng& rng) {
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const std::int64_t macros =
+        static_cast<std::int64_t>(layers_[l].macros.size());
+    for (std::int64_t m = 0; m < macros; ++m) {
       core::ForEachFaultSite(
-          array.rows(), array.cols(), ber, rng,
-          [&array](std::int64_t r, std::int64_t c) {
-            array.cell(r, c).DriftFlip();
-          });
+          config_.macro_rows, config_.macro_cols, ber, rng,
+          [&](std::int64_t r, std::int64_t c) { FlipSite(l, m, r, c); });
     }
   }
+}
+
+bool MappedBnn::UndoDrift() {
+  if (!DeterministicReads() || !drift_only_) return false;
+  const std::int64_t cells = config_.macro_rows * config_.macro_cols;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    std::vector<std::uint64_t>& parity = layers_[l].drift_parity;
+    for (std::size_t w = 0; w < parity.size(); ++w) {
+      // FlipSite clears the bit it flips back, so the word drains to zero.
+      while (parity[w] != 0) {
+        const std::int64_t bit =
+            static_cast<std::int64_t>(w) * 64 + std::countr_zero(parity[w]);
+        const std::int64_t cell = bit % cells;
+        FlipSite(l, bit / cells, cell / config_.macro_cols,
+                 cell % config_.macro_cols);
+      }
+    }
+  }
+  return true;
+}
+
+const XnorMacro& MappedBnn::macro(std::size_t gemm_index,
+                                  std::int64_t row_tile,
+                                  std::int64_t col_tile) const {
+  if (gemm_index >= layers_.size() || row_tile < 0 ||
+      row_tile >= layers_[gemm_index].row_tiles || col_tile < 0 ||
+      col_tile >= layers_[gemm_index].col_tiles) {
+    throw std::out_of_range("MappedBnn::macro: no macro at stage " +
+                            std::to_string(gemm_index) + " tile (" +
+                            std::to_string(row_tile) + ", " +
+                            std::to_string(col_tile) + ")");
+  }
+  const MappedLayer& layer = layers_[gemm_index];
+  return *layer.macros[static_cast<std::size_t>(row_tile * layer.col_tiles +
+                                                col_tile)];
 }
 
 void MappedBnn::Stress(std::uint64_t cycles, bool reprogram_after) {
   planes_.reset();  // device state changes: the readback planes are stale
   snapshot_.reset();
+  drift_only_ = false;
   for (auto& layer : layers_) {
     for (auto& macro : layer.macros) {
       macro->Stress(cycles);

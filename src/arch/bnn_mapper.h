@@ -76,17 +76,21 @@ class MappedBnn {
   /// the last ulp when padding read errors exist). ScoresBatch() does NOT
   /// serve through this program — it uses the internal planes with integer
   /// popcount biases, which are bit-exact in every case. Requires
-  /// DeterministicReads(); rebuilt lazily after Stress().
+  /// DeterministicReads(); rebuilt lazily from the planes after a drift, an
+  /// undo or Stress().
   const core::BnnProgram& ReadbackSnapshot();
 
   /// Eagerly builds the readback planes when reads are deterministic (no-op
   /// on a stochastic fabric). The planes are otherwise built lazily on the
   /// first batch, which mutates the fabric — callers that will serve batches
   /// from several threads under a shared lock must warm them first, while
-  /// they still hold the fabric exclusively (construction, reprogram, drift).
+  /// they still hold the fabric exclusively (construction, Stress()). Drift
+  /// and UndoDrift() keep built planes current, so they stay warm.
   void WarmReadback();
 
-  /// Ages all devices, then optionally reprograms (refresh).
+  /// Ages all devices, then optionally reprograms (refresh). The readback
+  /// planes are re-read lazily afterwards, and UndoDrift() is no longer
+  /// possible on this fabric.
   void Stress(std::uint64_t cycles, bool reprogram_after);
 
   /// Conductance-drift event over the whole fabric (fleet health aging
@@ -94,8 +98,28 @@ class MappedBnn {
   /// synapses carry weights — flips its sensed value with probability `ber`
   /// by swapping its 2T2R pair resistances. Fault sites are drawn through
   /// core::ForEachFaultSite, so the statistics match software fault
-  /// injection at the same rate. Invalidates the readback planes.
+  /// injection at the same rate. Built readback planes are updated site by
+  /// site from each flipped cell's sensed value (no PCSA read is billed),
+  /// and every site is recorded for UndoDrift(). Cost: one draw per cell
+  /// plus O(1) per site.
   void InjectDrift(double ber, Rng& rng);
+
+  /// Reverts every drift flip since the fabric was programmed, leaving it
+  /// equal to a freshly built MappedBnn of the same program and config:
+  /// pair resistances, device cycle counts and weak flags, program counters,
+  /// array RNG states and readback planes. A DriftFlip swaps the pair, so it
+  /// is its own inverse; a site hit twice has already cancelled. Costs
+  /// O(drift sites) plus a scan of one parity bit per cell. Returns false,
+  /// changing nothing, when drift alone cannot explain the fabric's state:
+  /// senses are stochastic (reads advance the array RNG), or Stress()
+  /// touched the devices. The caller then rebuilds the fabric.
+  bool UndoDrift();
+
+  /// Read-only view of the macro at tile (row_tile, col_tile) of GEMM stage
+  /// `gemm_index`'s region, down to its cells (introspection and tests).
+  /// Throws std::out_of_range for an address outside the fabric.
+  const XnorMacro& macro(std::size_t gemm_index, std::int64_t row_tile,
+                         std::int64_t col_tile) const;
 
   /// Total number of macros across all stages.
   std::int64_t num_macros() const;
@@ -127,6 +151,10 @@ class MappedBnn {
     std::int64_t reads_per_inference = 1;
     // Tile (rt, ct) at index rt * col_tiles + ct.
     std::vector<std::unique_ptr<XnorMacro>> macros;
+    /// One parity bit per cell of every macro for the drift flips since the
+    /// fabric was programmed: cell (r, c) of macro m is bit
+    /// m * macro_rows * macro_cols + r * macro_cols + c.
+    std::vector<std::uint64_t> drift_parity;
   };
 
   /// Computes popcount(XNOR(w_r, x)) for rows [row_begin, row_end) of a
@@ -138,6 +166,12 @@ class MappedBnn {
                       std::int64_t* out);
 
   MappedLayer MapMatrix(const core::BitMatrix& weights);
+
+  /// Drift flip of cell (r, c) of macro `m` of region `gemm_index`: swaps
+  /// the pair, toggles its parity bit and keeps built readback planes
+  /// current.
+  void FlipSite(std::size_t gemm_index, std::int64_t m, std::int64_t r,
+                std::int64_t c);
 
   /// Deterministic readback of the whole fabric: per mapped region, the
   /// packed bit plane of sensed logical weights plus the per-row count of
@@ -159,8 +193,13 @@ class MappedBnn {
   std::vector<MappedLayer> layers_;  // one region per GEMM stage, in order
   std::uint64_t seed_counter_ = 0;
 
-  // Lazily built readback state (DeterministicReads() only); invalidated
-  // whenever device state changes.
+  // True while the devices differ from their programmed state by drift
+  // flips only (UndoDrift() can restore it); Stress() clears it.
+  bool drift_only_ = true;
+
+  // Lazily built readback state (DeterministicReads() only). Drift keeps the
+  // planes current; Stress() invalidates them. The snapshot is rebuilt from
+  // the planes after any change.
   std::unique_ptr<ReadbackPlanes> planes_;
   std::unique_ptr<core::BnnProgram> snapshot_;
 

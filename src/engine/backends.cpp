@@ -193,13 +193,18 @@ const core::BnnProgram& ShardedRramBackend::ChipReadback(int chip) {
 
 void ShardedRramBackend::ReprogramChip(int chip, bool reseed) {
   CheckChip(chip);
+  std::unique_ptr<arch::MappedBnn>& shard =
+      shards_[static_cast<std::size_t>(chip)];
+  // A same-seed heal of a fabric that has only drifted since it was
+  // programmed: undoing the recorded flips reproduces the chip's current
+  // generation exactly, at a cost proportional to the drift.
+  if (!reseed && shard->UndoDrift()) return;
   auto& generation = generations_[static_cast<std::size_t>(chip)];
   if (reseed) ++generation;
   arch::MapperConfig config = config_;
   config.seed = ShardSeed(config_.seed, chip, generation);
-  shards_[static_cast<std::size_t>(chip)] =
-      std::make_unique<arch::MappedBnn>(golden_, config);
-  shards_[static_cast<std::size_t>(chip)]->WarmReadback();
+  shard = std::make_unique<arch::MappedBnn>(golden_, config);
+  shard->WarmReadback();
 }
 
 void ShardedRramBackend::SetChipServing(int chip, bool serving) {
@@ -221,8 +226,9 @@ void ShardedRramBackend::InjectChipDrift(int chip, double ber,
                                          std::uint64_t seed) {
   CheckChip(chip);
   Rng rng(seed);
+  // Drift keeps the chip's readback planes current, so they stay warm for
+  // shared readers.
   shards_[static_cast<std::size_t>(chip)]->InjectDrift(ber, rng);
-  shards_[static_cast<std::size_t>(chip)]->WarmReadback();
 }
 
 std::int64_t ShardedRramBackend::input_size() const {

@@ -162,10 +162,14 @@ class ShardedRramBackend : public InferenceBackend,
   int num_chips() const override { return num_shards(); }
   bool SupportsReadback() const override;
   const core::BnnProgram& ChipReadback(int chip) override;
-  /// Rebuilds one chip from the golden program without touching its siblings
-  /// (each chip's seed is independently derived — see ShardSeed). `reseed`
-  /// false reuses the chip's original seed, so the healed chip is
-  /// bit-identical to its generation-0 self.
+  /// Reprograms one chip from the golden program without touching its
+  /// siblings (each chip's seed is independently derived — see ShardSeed).
+  /// `reseed` false keeps the chip's seed, so the healed chip is
+  /// bit-identical to a freshly built chip of its current generation. When
+  /// the chip has only drifted since it was programmed, that heal undoes the
+  /// recorded drift flips in O(drift sites) (arch::MappedBnn::UndoDrift).
+  /// A reseeded heal, a fabric whose devices were stressed, or a stochastic
+  /// fabric (reads advance the array RNG) rebuilds the whole chip instead.
   void ReprogramChip(int chip, bool reseed) override;
   void SetChipServing(int chip, bool serving) override;
   bool chip_serving(int chip) const override;

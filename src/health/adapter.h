@@ -37,11 +37,12 @@ class BackendHealthAdapter {
   /// std::logic_error when !SupportsReadback().
   virtual const core::BnnProgram& ChipReadback(int chip) = 0;
 
-  /// Rebuilds the chip from the golden program (a full reprogram of every
-  /// device). With `reseed` false the chip's original derived seed is
-  /// reused, so the healed fabric is bit-identical to its generation-0
-  /// self; with `reseed` true a fresh generation seed is derived (a
-  /// physically new fabric — see ShardedRramBackend::ShardSeed).
+  /// Restores the chip to the golden program. With `reseed` false the
+  /// chip's derived seed is kept, so the healed fabric is bit-identical to
+  /// a freshly programmed chip of its current generation (an adapter may
+  /// get there by undoing drift instead of reprogramming every device);
+  /// with `reseed` true a fresh generation seed is derived (a physically new
+  /// fabric — see ShardedRramBackend::ShardSeed).
   virtual void ReprogramChip(int chip, bool reseed) = 0;
 
   /// Routing hook: a chip marked not-serving receives no batch rows until

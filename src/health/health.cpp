@@ -1,5 +1,6 @@
 #include "health/health.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace rrambnn::health {
@@ -25,10 +26,12 @@ void DiffPlane(const core::BitMatrix& golden, const core::BitMatrix& readback,
         std::to_string(readback.cols()) + ")");
   }
   estimate.checked_bits += golden.bits();
-  for (std::int64_t r = 0; r < golden.rows(); ++r) {
-    for (std::int64_t c = 0; c < golden.cols(); ++c) {
-      if (golden.Get(r, c) != readback.Get(r, c)) ++estimate.error_bits;
-    }
+  // Equal geometry means equal word layout, and a row's padding bits are
+  // always zero, so XOR + popcount counts exactly the differing weights.
+  const std::span<const std::uint64_t> g = golden.words();
+  const std::span<const std::uint64_t> r = readback.words();
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    estimate.error_bits += std::popcount(g[i] ^ r[i]);
   }
 }
 

@@ -54,6 +54,7 @@ void HealthManager::Record(HealthEvent::Kind kind,
   event.raw_ber = score.last_raw_ber;
   event.ewma_ber = score.ewma_ber;
   event.state = score.state;
+  if (events_.size() == kEventLogCapacity) events_.pop_front();
   events_.push_back(event);
 }
 

@@ -7,8 +7,9 @@
 // the raw rate into the chip's EWMA, classifies it, and — under the policy —
 // routes sick chips out of serving, reprograms chips that need healing, and
 // verifies the heal with a second readback before routing the chip back in.
-// Every decision is recorded as a HealthEvent, so an operator (or the serve
-// layer's `health` verb) can reconstruct exactly what happened to a fleet.
+// Every decision is recorded as a HealthEvent; the log keeps the most recent
+// kEventLogCapacity events, while the counters cover the manager's whole
+// life.
 //
 // The manager does no locking: the caller serializes it with serving
 // exactly as it serializes inference (the per-model serve mutex of
@@ -16,7 +17,9 @@
 // the same simulated device state that inference reads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -49,6 +52,10 @@ std::string ToString(HealthEvent::Kind kind);
 
 class HealthManager {
  public:
+  /// Events the log keeps: an always-on fleet records ~5 per chip per
+  /// healing sweep, so an unbounded log would grow without limit.
+  static constexpr std::size_t kEventLogCapacity = 4096;
+
   /// `golden` and `adapter` must outlive the manager (engine::Engine owns
   /// both and hands out a manager scoped to its deployed backend).
   HealthManager(const core::BnnProgram& golden, BackendHealthAdapter& adapter,
@@ -62,7 +69,9 @@ class HealthManager {
   /// Current per-chip scores (serving flags refreshed from the adapter).
   const std::vector<ChipHealthScore>& scores();
 
-  const std::vector<HealthEvent>& events() const { return events_; }
+  /// The most recent events (at most kEventLogCapacity), oldest first.
+  /// Sequence numbers stay global, so a trimmed log starts above 1.
+  const std::deque<HealthEvent>& events() const { return events_; }
   const HealthPolicy& policy() const { return policy_; }
 
   /// Completed CheckNow sweeps.
@@ -85,7 +94,7 @@ class HealthManager {
   BackendHealthAdapter& adapter_;
   HealthPolicy policy_;
   std::vector<ChipHealthScore> scores_;
-  std::vector<HealthEvent> events_;
+  std::deque<HealthEvent> events_;  // ring of the most recent events
   std::uint64_t sweeps_ = 0;
   std::uint64_t total_reprograms_ = 0;
   std::uint64_t state_changes_ = 0;

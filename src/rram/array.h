@@ -61,6 +61,20 @@ class RramArray {
   /// weight, over one full-array read.
   std::int64_t CountReadErrors();
 
+  /// Conductance drift at one synapse (Cell2T2R::DriftFlip), for per-site
+  /// loops over the array's own geometry: the address is not checked.
+  /// Returns what a zero-offset PCSA now senses there when the sensed
+  /// weight flipped, or 0 when it did not (a never-programmed pair holds
+  /// equal resistances and senses -1 either way). Not a read and not a
+  /// program: no counter moves and no RNG is drawn.
+  int DriftFlip(std::int64_t row, std::int64_t col) {
+    Cell2T2R& c = cells_[static_cast<std::size_t>(row * cols_ + col)];
+    const int before = c.SensedWeight();
+    c.DriftFlip();
+    const int after = c.SensedWeight();
+    return after == before ? 0 : after;
+  }
+
   const Cell2T2R& cell(std::int64_t row, std::int64_t col) const;
   Cell2T2R& cell(std::int64_t row, std::int64_t col);
 

@@ -50,6 +50,12 @@ class Cell2T2R {
   /// no programming pulse, no endurance cycle).
   void DriftFlip();
 
+  /// The weight a zero-offset PCSA senses (Pcsa::IdealPair): no read is
+  /// counted and no RNG is drawn.
+  int SensedWeight() const {
+    return Pcsa::IdealPair(bl_.log_resistance(), blb_.log_resistance());
+  }
+
   int programmed_weight() const { return programmed_weight_; }
   RramDevice& bl() { return bl_; }
   RramDevice& blb() { return blb_; }

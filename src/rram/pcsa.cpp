@@ -10,7 +10,7 @@ int Pcsa::SensePair(double log_r_bl, double log_r_blb, Rng& rng) const {
           ? rng.NormalDouble(0.0, params_->sense_offset_sigma)
           : 0.0;
   // Lower resistance on BL -> weight +1 (LRS/HRS convention, Sec. II-B).
-  return (log_r_bl + offset) < log_r_blb ? +1 : -1;
+  return IdealPair(log_r_bl + offset, log_r_blb);
 }
 
 int Pcsa::SenseSingle(double log_r, Rng& rng) const {

@@ -24,6 +24,13 @@ class Pcsa {
   /// resistance (pair encodes weight +1), else -1.
   int SensePair(double log_r_bl, double log_r_blb, Rng& rng) const;
 
+  /// The offset-free differential decision: what SensePair returns at
+  /// sense_offset_sigma == 0, without an RNG. A pair with equal resistances
+  /// (never programmed) senses -1.
+  static int IdealPair(double log_r_bl, double log_r_blb) {
+    return log_r_bl < log_r_blb ? +1 : -1;
+  }
+
   /// Single-ended sense against the fixed 1T1R read reference: +1 when the
   /// device conducts more than the reference (LRS side).
   int SenseSingle(double log_r, Rng& rng) const;

@@ -1,10 +1,13 @@
 // The hardware-mapped engine must be bit-exact against the software
-// BnnProgram at zero device error, across tiling geometries.
+// BnnProgram at zero device error, across tiling geometries; drift must keep
+// its readback planes equal to a full re-read, and undoing drift must leave a
+// freshly programmed fabric.
 #include "arch/bnn_mapper.h"
 
 #include <gtest/gtest.h>
 
 #include "arch/xnor_macro.h"
+#include "fabric_test_util.h"
 #include "tensor/rng.h"
 
 namespace rrambnn::arch {
@@ -256,6 +259,174 @@ TEST(MappedBnn, InputWidthValidated) {
   EXPECT_THROW(mapped.Scores(core::BitVector(63)), std::invalid_argument);
   EXPECT_THROW(mapped.ScoresBatch(core::BitMatrix(2, 63)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Drift bookkeeping and drift undo: the planes follow every drift site, and
+// undoing the recorded sites restores a freshly programmed fabric.
+// ---------------------------------------------------------------------------
+
+using testing::AgedDeterministicCorner;
+using testing::ExpectSameDevices;
+using testing::ExpectSameSnapshot;
+using testing::RandomBits;
+
+enum class ProgramKind { kPartialTiles, kConv };
+
+/// Dense 150 -> 70 -> 3 on 64x64 macros (partial row and column tiles in
+/// both regions), or the conv program of fabric_test_util.h.
+core::BnnProgram ContractProgram(ProgramKind kind, Rng& rng) {
+  return kind == ProgramKind::kConv ? testing::ConvProgram(rng)
+                                    : RandomProgram(150, 70, 3, rng);
+}
+
+/// Scores of every row of `batch` through the transaction-level simulation,
+/// which reads the cells themselves.
+std::vector<float> PerRowScores(MappedBnn& fabric,
+                                const core::BitMatrix& batch) {
+  std::vector<float> out;
+  for (std::int64_t i = 0; i < batch.rows(); ++i) {
+    const std::vector<float> row = fabric.Scores(batch.Row(i));
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+struct DriftCase {
+  ProgramKind kind;
+  double ber;
+};
+
+class DriftPlanes : public ::testing::TestWithParam<DriftCase> {};
+
+TEST_P(DriftPlanes, EqualAForcedReReadAfterEveryDrift) {
+  Rng rng(61);
+  const core::BnnProgram program = ContractProgram(GetParam().kind, rng);
+  const MapperConfig config = AgedDeterministicCorner();
+  MappedBnn fabric(program, config);
+  fabric.WarmReadback();
+  MappedBnn twin(program, config);
+  Rng drift(62), twin_drift(62);
+  const core::BitMatrix batch = RandomBits(12, program.input_size(), rng);
+  for (int event = 0; event < 3; ++event) {
+    fabric.InjectDrift(GetParam().ber, drift);
+    twin.InjectDrift(GetParam().ber, twin_drift);
+    // Stress(0, false) ages nothing but drops the twin's planes, so its next
+    // snapshot is a full re-read of the cells.
+    twin.Stress(0, /*reprogram_after=*/false);
+    ExpectSameSnapshot(fabric.ReadbackSnapshot(), twin.ReadbackSnapshot());
+    const std::vector<float> batched = fabric.ScoresBatch(batch);
+    EXPECT_EQ(batched, twin.ScoresBatch(batch)) << "event " << event;
+    EXPECT_EQ(batched, PerRowScores(fabric, batch)) << "event " << event;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BerAndTiling, DriftPlanes,
+    ::testing::Values(DriftCase{ProgramKind::kPartialTiles, 0.05},
+                      DriftCase{ProgramKind::kPartialTiles, 0.5},
+                      DriftCase{ProgramKind::kPartialTiles, 1.0},
+                      DriftCase{ProgramKind::kConv, 0.05},
+                      DriftCase{ProgramKind::kConv, 0.5},
+                      DriftCase{ProgramKind::kConv, 1.0}));
+
+class DriftUndo : public ::testing::TestWithParam<ProgramKind> {};
+
+TEST_P(DriftUndo, RestoresAFreshlyProgrammedFabric) {
+  Rng rng(63);
+  const core::BnnProgram program = ContractProgram(GetParam(), rng);
+  const MapperConfig config = AgedDeterministicCorner();
+  MappedBnn fabric(program, config);
+  fabric.WarmReadback();
+  MappedBnn fresh(program, config);
+  fresh.WarmReadback();
+  const core::BitMatrix batch = RandomBits(12, program.input_size(), rng);
+  const double bers[] = {0.05, 0.5, 1.0};
+  Rng drift(64);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    for (int d = 0; d <= cycle % 3; ++d) {
+      fabric.InjectDrift(bers[(cycle + d) % 3], drift);
+    }
+    (void)fabric.ScoresBatch(batch);  // serving between drift and heal
+    ASSERT_TRUE(fabric.UndoDrift()) << "cycle " << cycle;
+    ExpectSameDevices(fabric, fresh, config);
+    ExpectSameSnapshot(fabric.ReadbackSnapshot(), fresh.ReadbackSnapshot());
+    EXPECT_EQ(fabric.ScoresBatch(batch), fresh.ScoresBatch(batch));
+    EXPECT_EQ(fabric.ProgrammingCost().program_ops,
+              fresh.ProgrammingCost().program_ops);
+  }
+  // The array RNGs were never drawn by drift or its undo: a refresh, which
+  // draws fresh programming noise from them, lands both fabrics on the same
+  // devices.
+  fabric.Stress(100000000, /*reprogram_after=*/true);
+  fresh.Stress(100000000, /*reprogram_after=*/true);
+  ExpectSameDevices(fabric, fresh, config);
+  ExpectSameSnapshot(fabric.ReadbackSnapshot(), fresh.ReadbackSnapshot());
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, DriftUndo,
+                         ::testing::Values(ProgramKind::kPartialTiles,
+                                           ProgramKind::kConv));
+
+TEST(DriftUndo, RefusedOnceTheDevicesWereStressedOrSensesAreStochastic) {
+  Rng rng(65);
+  const core::BnnProgram program = RandomProgram(150, 70, 3, rng);
+  const MapperConfig config = AgedDeterministicCorner();
+  for (const bool refresh : {false, true}) {
+    MappedBnn fabric(program, config);
+    Rng drift(66);
+    fabric.InjectDrift(0.1, drift);
+    fabric.Stress(1000, refresh);
+    MappedBnn twin(program, config);
+    Rng twin_drift(66);
+    twin.InjectDrift(0.1, twin_drift);
+    twin.Stress(1000, refresh);
+    // Refused, and nothing changed: the drift stays in place.
+    EXPECT_FALSE(fabric.UndoDrift()) << "refresh " << refresh;
+    ExpectSameDevices(fabric, twin, config);
+  }
+  MapperConfig stochastic = config;
+  stochastic.device.sense_offset_sigma = 0.02;
+  MappedBnn fabric(program, stochastic);
+  Rng drift(67);
+  fabric.InjectDrift(0.1, drift);
+  EXPECT_FALSE(fabric.UndoDrift());
+}
+
+TEST(DriftUndo, BillsNoSenseReads) {
+  Rng rng(69);
+  const core::BnnProgram program = RandomProgram(150, 70, 3, rng);
+  const MapperConfig config = AgedDeterministicCorner();
+  MappedBnn fabric(program, config);
+  fabric.WarmReadback();
+  const auto sense_ops = [&] {
+    std::uint64_t ops = 0;
+    for (std::size_t l = 0; l < 2; ++l) {
+      const std::int64_t cols = l == 0 ? 3 : 2;  // 150 and 70 inputs
+      for (std::int64_t rt = 0; rt < (l == 0 ? 2 : 1); ++rt) {
+        for (std::int64_t ct = 0; ct < cols; ++ct) {
+          ops += fabric.macro(l, rt, ct).array().sense_ops();
+        }
+      }
+    }
+    return ops;
+  };
+  const std::uint64_t warm = sense_ops();
+  ASSERT_GT(warm, 0u);
+  Rng drift(70);
+  fabric.InjectDrift(0.5, drift);
+  ASSERT_TRUE(fabric.UndoDrift());
+  EXPECT_EQ(sense_ops(), warm);
+}
+
+TEST(MappedBnn, MacroAccessorChecksTheAddress) {
+  Rng rng(68);
+  const core::BnnProgram program = RandomProgram(150, 70, 3, rng);
+  const MappedBnn fabric(program, AgedDeterministicCorner());
+  EXPECT_EQ(fabric.macro(0, 1, 2).used_synapses(), 6 * 22);
+  EXPECT_THROW((void)fabric.macro(0, 2, 0), std::out_of_range);
+  EXPECT_THROW((void)fabric.macro(0, 0, 3), std::out_of_range);
+  EXPECT_THROW((void)fabric.macro(2, 0, 0), std::out_of_range);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <vector>
 
+#include "../arch/fabric_test_util.h"
 #include "core/fault_injection.h"
 #include "engine/backends.h"
 #include "health/aging.h"
@@ -114,6 +116,57 @@ TEST(DiffBitErrors, CountsExactFlips) {
   EXPECT_EQ(estimate.error_bits, 3);
   EXPECT_EQ(estimate.checked_bits, 64 * 32 + 32 * 2);
   EXPECT_DOUBLE_EQ(estimate.raw_ber(), 3.0 / (64 * 32 + 32 * 2));
+}
+
+/// Bit-by-bit reference count of DiffBitErrors' word-level diff.
+std::int64_t CountDifferingBits(const core::BnnProgram& a,
+                                const core::BnnProgram& b) {
+  std::int64_t errors = 0;
+  for (std::size_t l = 0; l < a.GemmStages().size(); ++l) {
+    const core::BitMatrix& x = a.GemmStages()[l]->weights;
+    const core::BitMatrix& y = b.GemmStages()[l]->weights;
+    for (std::int64_t r = 0; r < x.rows(); ++r) {
+      for (std::int64_t c = 0; c < x.cols(); ++c) {
+        if (x.Get(r, c) != y.Get(r, c)) ++errors;
+      }
+    }
+  }
+  return errors;
+}
+
+TEST(DiffBitErrors, CountsExactFlipsWhereRowsEndMidWord) {
+  for (const std::int64_t width : {65, 100}) {
+    const core::BnnProgram golden = MakeProgram(width, 32, 2, 15);
+    core::BnnProgram readback = golden;
+    core::BitMatrix& hidden = readback.stages()[0].gemm.weights;
+    hidden.Flip(0, width - 1);  // last bit of a row, in its partial word
+    hidden.Flip(5, 64);         // first bit of the row's second word
+    hidden.Flip(31, 0);
+    readback.stages()[1].gemm.weights.Flip(1, 31);
+    const BerEstimate estimate = DiffBitErrors(golden, readback);
+    EXPECT_EQ(estimate.error_bits, 4) << "width " << width;
+    EXPECT_EQ(estimate.checked_bits, width * 32 + 32 * 2);
+
+    Rng rng(16);
+    core::InjectWeightFaults(readback, 0.3, rng);
+    EXPECT_EQ(DiffBitErrors(golden, readback).error_bits,
+              CountDifferingBits(golden, readback))
+        << "width " << width;
+  }
+  // A conv program: 27-bit patch rows and a 96-bit output plane.
+  Rng rng(17);
+  const core::BnnProgram golden = arch::testing::ConvProgram(rng);
+  core::BnnProgram readback = golden;
+  readback.stages()[0].gemm.weights.Flip(0, 26);
+  readback.stages()[0].gemm.weights.Flip(5, 0);
+  readback.stages()[3].gemm.weights.Flip(2, 95);
+  readback.stages()[3].gemm.weights.Flip(0, 64);
+  const BerEstimate estimate = DiffBitErrors(golden, readback);
+  EXPECT_EQ(estimate.error_bits, 4);
+  EXPECT_EQ(estimate.checked_bits, 6 * 27 + 3 * 96);
+  core::InjectWeightFaults(readback, 0.3, rng);
+  EXPECT_EQ(DiffBitErrors(golden, readback).error_bits,
+            CountDifferingBits(golden, readback));
 }
 
 TEST(DiffBitErrors, GeometryMismatchThrows) {
@@ -282,6 +335,41 @@ TEST(HealthManager, NeverRoutesOffTheLastServingChip) {
   EXPECT_FALSE(adapter.chip_serving(0));
   EXPECT_TRUE(adapter.chip_serving(1));
   EXPECT_EQ(manager.serving_chips(), 1);
+}
+
+TEST(HealthManager, EventLogKeepsTheNewestEventsAndExactCounters) {
+  const core::BnnProgram golden = MakeProgram(32, 16, 2, 18);
+  FakeAdapter adapter(golden, 2);
+  HealthManager manager(adapter.golden(), adapter, HealthPolicy{});
+  // Every sweep drives both chips sick and heals them, ~10 events a sweep.
+  // Tally each sweep's new events as they arrive: an uncapped count.
+  std::uint64_t recorded = 0, reprograms = 0, state_changes = 0, sweeps = 0;
+  std::uint64_t seed = 100;
+  while (recorded <= HealthManager::kEventLogCapacity + 500) {
+    adapter.InjectChipDrift(0, 0.2, seed++);
+    adapter.InjectChipDrift(1, 0.2, seed++);
+    manager.CheckNow();
+    ++sweeps;
+    const std::deque<HealthEvent>& events = manager.events();
+    for (auto it = events.rbegin();
+         it != events.rend() && it->sequence > recorded; ++it) {
+      if (it->kind == HealthEvent::Kind::kReprogram) ++reprograms;
+      if (it->kind == HealthEvent::Kind::kStateChange) ++state_changes;
+    }
+    recorded = events.back().sequence;
+  }
+  const std::deque<HealthEvent>& events = manager.events();
+  ASSERT_EQ(events.size(), HealthManager::kEventLogCapacity);
+  EXPECT_EQ(events.front().sequence,
+            recorded - HealthManager::kEventLogCapacity + 1);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].sequence, events[i - 1].sequence + 1);
+  }
+  EXPECT_EQ(events.back().sweep, sweeps);
+  EXPECT_EQ(manager.sweeps(), sweeps);
+  EXPECT_EQ(manager.total_reprograms(), reprograms);
+  EXPECT_EQ(manager.state_changes(), state_changes);
+  EXPECT_EQ(reprograms, 2 * sweeps);
 }
 
 TEST(ShardSeed, DerivationProperties) {

@@ -1,6 +1,7 @@
 // Healing-loop tests against the real backends: single-chip reprograms on
 // the sharded RRAM fabric are bit-identical and sibling-preserving
-// (derived per-chip seeds), the Engine exposes the health surface per
+// (derived per-chip seeds) and, over many drift/heal cycles, equal a freshly
+// built chip (the heal contract), the Engine exposes the health surface per
 // backend, the serving daemon's drift/check hooks keep served digests
 // invariant, and the ISSUE acceptance scenario holds — under a BER ramp
 // that drives a chip sick, healing-on stays within 1% of the healthy
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../arch/fabric_test_util.h"
 #include "engine/backends.h"
 #include "engine/engine.h"
 #include "health/aging.h"
@@ -52,16 +54,7 @@ core::BnnProgram MakeRandomProgram(std::int64_t in, std::int64_t hidden,
   return program;
 }
 
-/// An aged device corner with deterministic senses: programming errors
-/// exist (weak bits), so seed-derived fabric identity is a nontrivial
-/// property, and readback snapshots are available.
-arch::MapperConfig AgedDeterministicCorner() {
-  arch::MapperConfig config;
-  config.device.sense_offset_sigma = 0.0;
-  config.pre_stress_cycles = 500000000;  // 5e8 cycles: some weak devices
-  config.seed = 77;
-  return config;
-}
+using arch::testing::AgedDeterministicCorner;
 
 TEST(ShardedHealing, ReprogramRestoresTheChipBitIdentically) {
   const core::BnnProgram program = MakeRandomProgram(96, 64, 2, 20);
@@ -321,6 +314,149 @@ TEST(ServingHealth, DriftAndHealHooksKeepServedDigestsInvariant) {
   unknown.kind = serve::RequestKind::kHealth;
   unknown.model = "nope";
   EXPECT_FALSE(server.Handle(unknown).ok);
+}
+
+// ---------------------------------------------------------------------------
+// The heal contract: after a same-seed heal every chip equals a freshly built
+// chip of its generation, whether the heal undid the drift or rebuilt it.
+// ---------------------------------------------------------------------------
+
+enum class ContractProgram { kPartialTiles, kConv };
+
+/// Dense 150 -> 70 -> 3 on 64x64 macros (partial row and column tiles), or
+/// the conv program of tests/arch/fabric_test_util.h.
+core::BnnProgram MakeContractProgram(ContractProgram kind) {
+  Rng rng(23);
+  return kind == ContractProgram::kConv ? arch::testing::ConvProgram(rng)
+                                        : MakeRandomProgram(150, 70, 3, 23);
+}
+
+/// Chip `chip` of `healed` against the same chip of `fresh`: every device,
+/// and the readback snapshot's planes, thresholds and offsets.
+void ExpectSameChip(engine::ShardedRramBackend& healed,
+                    engine::ShardedRramBackend& fresh, int chip,
+                    const arch::MapperConfig& config) {
+  arch::testing::ExpectSameDevices(healed.shard(chip), fresh.shard(chip),
+                                   config);
+  arch::testing::ExpectSameSnapshot(healed.ChipReadback(chip),
+                                    fresh.ChipReadback(chip));
+}
+
+void ExpectSameEnergy(const engine::EnergyBreakdown& a,
+                      const engine::EnergyBreakdown& b) {
+  EXPECT_EQ(a.programming.program_ops, b.programming.program_ops);
+  EXPECT_EQ(a.programming.program_energy_pj, b.programming.program_energy_pj);
+  EXPECT_EQ(a.programming.latency_us, b.programming.latency_us);
+  EXPECT_EQ(a.per_inference.read_energy_pj, b.per_inference.read_energy_pj);
+  EXPECT_EQ(a.per_inference.sense_ops, b.per_inference.sense_ops);
+  EXPECT_EQ(a.per_inference.latency_us, b.per_inference.latency_us);
+  EXPECT_EQ(a.area_mm2, b.area_mm2);
+  EXPECT_EQ(a.num_macros, b.num_macros);
+}
+
+class HealContract : public ::testing::TestWithParam<ContractProgram> {};
+
+TEST_P(HealContract, SameSeedHealsEqualAFreshFleetOverManyCycles) {
+  const core::BnnProgram program = MakeContractProgram(GetParam());
+  const arch::MapperConfig config = AgedDeterministicCorner();
+  engine::ShardedRramBackend backend(program, config, 2);
+  engine::ShardedRramBackend fresh(program, config, 2);
+  Rng rng(24);
+  const core::BitMatrix batch =
+      arch::testing::RandomBits(10, program.input_size(), rng);
+  const std::vector<float> fresh_scores = fresh.ScoresBatch(batch);
+  const double bers[] = {0.05, 0.5, 1.0};
+  std::uint64_t seed = 500;
+  for (int cycle = 0; cycle < 50 && !HasFailure(); ++cycle) {
+    for (int d = 0; d <= cycle % 3; ++d) {  // one to three drifts per heal
+      for (int chip = 0; chip < 2; ++chip) {
+        backend.InjectChipDrift(chip, bers[(cycle + d + chip) % 3], seed++);
+      }
+    }
+    (void)backend.ScoresBatch(batch);  // serving between drift and heal
+    for (int chip = 0; chip < 2; ++chip) {
+      backend.ReprogramChip(chip, /*reseed=*/false);
+      EXPECT_EQ(backend.chip_generation(chip), 0u);
+      ExpectSameChip(backend, fresh, chip, config);
+    }
+    EXPECT_EQ(backend.ScoresBatch(batch), fresh_scores) << "cycle " << cycle;
+    ExpectSameEnergy(backend.EnergyReport(), fresh.EnergyReport());
+  }
+  // Drift and its undo never draw from the array RNGs: a refresh, which
+  // draws fresh programming noise from them, lands both fleets on the same
+  // devices.
+  for (int chip = 0; chip < 2; ++chip) {
+    backend.shard(chip).Stress(100000000, /*reprogram_after=*/true);
+    fresh.shard(chip).Stress(100000000, /*reprogram_after=*/true);
+    ExpectSameChip(backend, fresh, chip, config);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, HealContract,
+                         ::testing::Values(ContractProgram::kPartialTiles,
+                                           ContractProgram::kConv));
+
+TEST(HealContract, SameSeedHealAfterAReseedReproducesGenerationOne) {
+  const core::BnnProgram program =
+      MakeContractProgram(ContractProgram::kPartialTiles);
+  const arch::MapperConfig config = AgedDeterministicCorner();
+  engine::ShardedRramBackend backend(program, config, 2);
+  backend.InjectChipDrift(1, 0.1, 31);
+  backend.ReprogramChip(1, /*reseed=*/true);
+  ASSERT_EQ(backend.chip_generation(1), 1u);
+
+  backend.InjectChipDrift(1, 0.3, 32);
+  backend.InjectChipDrift(1, 0.05, 33);
+  backend.ReprogramChip(1, /*reseed=*/false);
+  EXPECT_EQ(backend.chip_generation(1), 1u);
+  arch::MapperConfig generation_one = config;
+  generation_one.seed =
+      engine::ShardedRramBackend::ShardSeed(config.seed, 1, 1);
+  arch::MappedBnn fresh(program, generation_one);
+  arch::testing::ExpectSameDevices(backend.shard(1), fresh, generation_one);
+  arch::testing::ExpectSameSnapshot(backend.ChipReadback(1),
+                                    fresh.ReadbackSnapshot());
+}
+
+TEST(HealContract, SameSeedHealAfterStressRebuildsGenerationZero) {
+  const core::BnnProgram program =
+      MakeContractProgram(ContractProgram::kConv);
+  const arch::MapperConfig config = AgedDeterministicCorner();
+  engine::ShardedRramBackend fresh(program, config, 2);
+  Rng rng(25);
+  const core::BitMatrix batch =
+      arch::testing::RandomBits(10, program.input_size(), rng);
+  for (const bool refresh : {true, false}) {
+    engine::ShardedRramBackend backend(program, config, 2);
+    backend.InjectChipDrift(0, 0.1, 41);
+    backend.shard(0).Stress(200000000, refresh);
+    backend.InjectChipDrift(0, 0.05, 42);
+    backend.ReprogramChip(0, /*reseed=*/false);
+    ExpectSameChip(backend, fresh, 0, config);
+    EXPECT_EQ(backend.ScoresBatch(batch), fresh.ScoresBatch(batch))
+        << "refresh " << refresh;
+  }
+}
+
+TEST(HealContract, StochasticFabricHealsLikeAFreshChip) {
+  const core::BnnProgram program =
+      MakeContractProgram(ContractProgram::kPartialTiles);
+  arch::MapperConfig config = AgedDeterministicCorner();
+  // A noisy sense path: many reads depend on the array RNG's draws, so a
+  // chip whose RNG state moved would score differently.
+  config.device.sense_offset_sigma = 3.0;
+  engine::ShardedRramBackend backend(program, config, 2);
+  ASSERT_FALSE(backend.SupportsReadback());
+  Rng rng(26);
+  const core::BitMatrix batch =
+      arch::testing::RandomBits(10, program.input_size(), rng);
+  (void)backend.ScoresBatch(batch);  // reads advance every chip's array RNGs
+  for (int chip = 0; chip < 2; ++chip) {
+    backend.InjectChipDrift(chip, 0.1, 51 + static_cast<std::uint64_t>(chip));
+    backend.ReprogramChip(chip, /*reseed=*/false);
+  }
+  engine::ShardedRramBackend fresh(program, config, 2);
+  EXPECT_EQ(backend.ScoresBatch(batch), fresh.ScoresBatch(batch));
 }
 
 }  // namespace
